@@ -463,7 +463,10 @@ func BenchmarkClusterSweep(b *testing.B) {
 	}
 	var res experiments.ClusterResult
 	for i := 0; i < b.N; i++ {
-		res = experiments.Cluster(p, cc)
+		var err error
+		if res, err = experiments.Cluster(p, cc); err != nil {
+			b.Fatal(err)
+		}
 	}
 	row := res.Rows[0]
 	record(b, float64(2*(row.HiSent+row.LoSent))+float64(row.FloodRecv), map[string]float64{

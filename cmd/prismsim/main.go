@@ -28,6 +28,11 @@
 // engine (internal/par), and shards the cluster experiment's hosts and
 // switches over N workers. Results are bit-identical for every N.
 //
+// -hosts, -containers and -placement shape the cluster and failover
+// experiments. A shape they cannot build or recover (more containers
+// than the hosts hold, no survivor with room for a dead host's
+// containers) exits 2 with a one-line error, like a malformed scenario.
+//
 // -metrics-out and -trace-out run the instrumented stages experiment (or
 // accompany -exp stages) and export its observability data: metrics as a
 // JSON snapshot (path ending in .json) or Prometheus text exposition
@@ -131,38 +136,20 @@ var registry = []experiment{
 	{"batchsweep", func(a *appCtx) { fmt.Println(experiments.AblationBatch(a.p, nil)) }},
 	{"scaling", func(a *appCtx) { fmt.Println(experiments.Scaling(a.p, nil)) }},
 	{"cluster", func(a *appCtx) {
-		cc := experiments.DefaultClusterConfig()
-		if a.hosts > 0 {
-			cc.Hosts = a.hosts
+		r, err := experiments.Cluster(a.p, a.clusterConfig(experiments.DefaultClusterConfig()))
+		if err != nil {
+			reject(err)
 		}
-		if a.containers > 0 {
-			cc.Containers = a.containers
-		}
-		if a.placement != "" && a.placement != "all" {
-			pol, err := cluster.ParsePlacement(a.placement)
-			if err != nil {
-				fatal(err)
-			}
-			cc.Placements = []cluster.Placement{pol}
-		}
-		fmt.Println(experiments.Cluster(a.p, cc))
+		fmt.Println(r)
 	}},
 	{"failover", func(a *appCtx) {
 		fc := experiments.DefaultFailoverConfig()
-		if a.hosts > 0 {
-			fc.Hosts = a.hosts
+		fc.ClusterConfig = a.clusterConfig(fc.ClusterConfig)
+		r, err := experiments.Failover(a.p, fc)
+		if err != nil {
+			reject(err)
 		}
-		if a.containers > 0 {
-			fc.Containers = a.containers
-		}
-		if a.placement != "" && a.placement != "all" {
-			pol, err := cluster.ParsePlacement(a.placement)
-			if err != nil {
-				fatal(err)
-			}
-			fc.Placements = []cluster.Placement{pol}
-		}
-		fmt.Println(experiments.Failover(a.p, fc))
+		fmt.Println(r)
 	}},
 	{"stages", func(a *appCtx) {
 		r := experiments.Stages(a.p)
@@ -180,6 +167,25 @@ var registry = []experiment{
 			fmt.Printf("trace written to %s (load in Perfetto / chrome://tracing)\n", a.traceOut)
 		}
 	}},
+}
+
+// clusterConfig applies the -hosts, -containers and -placement flags to
+// an experiment's default cluster shape.
+func (a *appCtx) clusterConfig(cc experiments.ClusterConfig) experiments.ClusterConfig {
+	if a.hosts > 0 {
+		cc.Hosts = a.hosts
+	}
+	if a.containers > 0 {
+		cc.Containers = a.containers
+	}
+	if a.placement != "" && a.placement != "all" {
+		pol, err := cluster.ParsePlacement(a.placement)
+		if err != nil {
+			fatal(err)
+		}
+		cc.Placements = []cluster.Placement{pol}
+	}
+	return cc
 }
 
 // expNames renders the registry's names for the usage string.
@@ -329,13 +335,11 @@ func flagWasSet(name string) bool {
 func runScenario(path string, parallel int) {
 	s, err := scenario.Load(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "prismsim:", err)
-		os.Exit(2)
+		reject(err)
 	}
 	plan, err := scenario.Compile(s)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "prismsim: %s: %v\n", path, err)
-		os.Exit(2)
+		reject(fmt.Errorf("%s: %w", path, err))
 	}
 	// The file's workers field is the default; an explicit -parallel wins.
 	if flagWasSet("parallel") {
@@ -380,6 +384,13 @@ func writeTrace(path string, procs []obs.TraceProcess) error {
 	}
 	defer f.Close()
 	return obs.WriteChromeTrace(f, procs...)
+}
+
+// reject reports input the simulator cannot run — a malformed scenario
+// file, a cluster too small for its containers — on one line and exits 2.
+func reject(err error) {
+	fmt.Fprintln(os.Stderr, "prismsim:", err)
+	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
@@ -52,5 +56,39 @@ func TestSelectExperiments(t *testing.T) {
 		t.Fatal("unknown experiment name accepted")
 	} else if msg := err.Error(); !strings.Contains(msg, "fig99") || !strings.Contains(msg, "cluster") {
 		t.Fatalf("error should name the bad input and list valid experiments, got: %v", msg)
+	}
+}
+
+// TestInfeasibleClusterExitsTwo runs the real main in a child process on
+// cluster shapes that cannot be built or recovered: too many containers
+// for two hosts, and a one-host failover with no survivor to take the
+// crashed host's containers. Each must exit 2 with a one-line error, the
+// same contract as a rejected scenario file, and never panic.
+func TestInfeasibleClusterExitsTwo(t *testing.T) {
+	if args := os.Getenv("PRISMSIM_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"prismsim"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	for _, args := range []string{
+		"-exp cluster -hosts 2 -containers 1000 -duration 20ms -warmup 5ms",
+		"-exp failover -hosts 1 -containers 10 -duration 20ms -warmup 5ms",
+	} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestInfeasibleClusterExitsTwo$")
+		cmd.Env = append(os.Environ(), "PRISMSIM_TEST_ARGS="+args)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Fatalf("prismsim %s: got %v, want exit status 2\nstderr: %s", args, err, stderr.String())
+		}
+		msg := stderr.String()
+		if strings.Contains(msg, "panic:") || strings.Contains(msg, "goroutine") {
+			t.Fatalf("prismsim %s panicked:\n%s", args, msg)
+		}
+		if lines := strings.Count(strings.TrimSpace(msg), "\n"); lines != 0 || !strings.HasPrefix(msg, "prismsim: ") {
+			t.Fatalf("prismsim %s: want one prismsim: error line, got:\n%s", args, msg)
+		}
 	}
 }

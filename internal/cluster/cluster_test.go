@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -25,40 +26,91 @@ func specsOf(pattern string) []ContainerSpec {
 	return specs
 }
 
+// placeCase is one placer input. A case without load is build-time
+// placement (Place over an empty, fully alive cluster of hosts); one with
+// load is re-placement over live state (alive nil = every host alive).
+type placeCase struct {
+	name    string
+	pattern string // one letter per container: H high priority, L best effort
+	hosts   int
+	load    []int
+	alive   []bool
+	hostCap int
+	want    []int
+}
+
+func runPlaceCases(t *testing.T, policy Placement, cases []placeCase) {
+	t.Helper()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var got []int
+			var err error
+			if tc.load == nil {
+				got, err = Place(policy, specsOf(tc.pattern), tc.hosts, tc.hostCap)
+			} else {
+				alive := tc.alive
+				if alive == nil {
+					alive = allAlive(len(tc.load))
+				}
+				got, err = place(policy, hiOf(tc.pattern), tc.load, alive, tc.hostCap)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("%v placement = %v, want %v", policy, got, tc.want)
+			}
+		})
+	}
+}
+
+// hiOf is specsOf's priority flags, the placer's view of a workload.
+func hiOf(pattern string) []bool {
+	hi := make([]bool, len(pattern))
+	for i, c := range pattern {
+		hi[i] = c == 'H'
+	}
+	return hi
+}
+
+func allAlive(hosts int) []bool {
+	alive := make([]bool, hosts)
+	for h := range alive {
+		alive[h] = true
+	}
+	return alive
+}
+
 func TestPlaceSpread(t *testing.T) {
-	got, err := Place(PlaceSpread, specsOf("LLLLL"), 3, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Least-loaded with lowest-ID ties: round-robin.
-	want := []int{0, 1, 2, 0, 1}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("spread placement = %v, want %v", got, want)
-	}
+	runPlaceCases(t, PlaceSpread, []placeCase{
+		// Least-loaded with lowest-ID ties: round-robin.
+		{name: "build-time", pattern: "LLLLL", hosts: 3, hostCap: 10, want: []int{0, 1, 2, 0, 1}},
+		// Least-loaded among the alive hosts: host 1 fills to host 2's
+		// load, then the tie breaks toward the lower ID; dead host 3 is
+		// never chosen despite being emptiest.
+		{name: "live-load", pattern: "LLLL", load: []int{5, 1, 3, 2},
+			alive: []bool{true, true, true, false}, hostCap: 10, want: []int{1, 1, 1, 2}},
+	})
 }
 
 func TestPlacePack(t *testing.T) {
-	got, err := Place(PlacePack, specsOf("LLLLL"), 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 0, 1, 1, 2}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("pack placement = %v, want %v", got, want)
-	}
+	runPlaceCases(t, PlacePack, []placeCase{
+		{name: "build-time", pattern: "LLLLL", hosts: 3, hostCap: 2, want: []int{0, 0, 1, 1, 2}},
+		// Host 0 has one slot, host 1 is dead, host 2 takes the rest.
+		{name: "skips-dead-and-full", pattern: "LLL", load: []int{1, 1, 0},
+			alive: []bool{true, false, true}, hostCap: 2, want: []int{0, 2, 2}},
+	})
 }
 
 func TestPlacePriority(t *testing.T) {
-	// Best-effort packs hosts 0 and 1; the high-priority containers then
-	// go to the emptiest hosts.
-	got, err := Place(PlacePriority, specsOf("LLHLH"), 3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 0, 1, 0, 2}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("priority placement = %v, want %v", got, want)
-	}
+	runPlaceCases(t, PlacePriority, []placeCase{
+		// Best-effort packs hosts 0 and 1; the high-priority containers
+		// then go to the emptiest hosts.
+		{name: "build-time", pattern: "LLHLH", hosts: 3, hostCap: 3, want: []int{0, 0, 1, 0, 2}},
+		// Best-effort packed onto host 0 first; the hi container then
+		// spreads to the emptier host 1.
+		{name: "live-load", pattern: "HLL", load: []int{0, 0}, hostCap: 4, want: []int{1, 0, 0}},
+	})
 }
 
 func TestPlaceRespectsCapacity(t *testing.T) {
@@ -77,8 +129,110 @@ func TestPlaceRespectsCapacity(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Place(PlaceSpread, specsOf("LLLLL"), 2, 2); err == nil {
-		t.Fatal("placement over capacity must error")
+	if _, err := Place(PlaceSpread, specsOf("LLLLL"), 2, 2); err == nil ||
+		!strings.Contains(err.Error(), "exceed cluster capacity") {
+		t.Fatalf("placement over capacity: got %v, want loud capacity error", err)
+	}
+
+	// Re-placement onto a full surviving set must error, never wrap
+	// around or overload a host.
+	t.Run("full-survivors-fail-loudly", func(t *testing.T) {
+		load := []int{2, 2, 1}
+		alive := []bool{true, true, false} // the host with room is dead
+		_, err := place(PlacePack, make([]bool, 1), load, alive, 2)
+		if err == nil || !strings.Contains(err.Error(), "exceed surviving capacity") {
+			t.Fatalf("full cluster: got %v, want loud capacity error", err)
+		}
+		// One free slot, two containers: still loud.
+		alive[2] = true
+		_, err = place(PlaceSpread, make([]bool, 2), load, alive, 2)
+		if err == nil || !strings.Contains(err.Error(), "exceed surviving capacity") {
+			t.Fatalf("over capacity by one: got %v, want loud capacity error", err)
+		}
+		// Exactly enough capacity succeeds.
+		if _, err := place(PlaceSpread, make([]bool, 1), load, alive, 2); err != nil {
+			t.Fatalf("exact fit rejected: %v", err)
+		}
+	})
+}
+
+// TestPlaceProperties drives the placer with seeded random inputs —
+// policy, priority flags, host count, capacity, load and alive mask — and
+// checks what must hold for every input: no host over capacity, no dead
+// host chosen, the same input gives the same assignment, and spread from
+// equal load stays balanced to within one container over alive hosts.
+func TestPlaceProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for iter := 0; iter < 2000; iter++ {
+		policy := Placements[rng.Intn(len(Placements))]
+		hosts := 1 + rng.Intn(8)
+		hostCap := 1 + rng.Intn(6)
+		equal := rng.Intn(4) == 0
+		base := rng.Intn(hostCap + 1)
+		load := make([]int, hosts)
+		alive := make([]bool, hosts)
+		for h := range load {
+			load[h] = base
+			if !equal {
+				load[h] = rng.Intn(hostCap + 1)
+			}
+			alive[h] = rng.Intn(4) != 0
+		}
+		hi := make([]bool, rng.Intn(2*hosts*hostCap+1))
+		for i := range hi {
+			hi[i] = rng.Intn(3) == 0
+		}
+		free := 0
+		for h := range load {
+			if alive[h] {
+				free += hostCap - load[h]
+			}
+		}
+		input := fmt.Sprintf("iter %d: %v hi=%v load=%v alive=%v cap=%d", iter, policy, hi, load, alive, hostCap)
+
+		got, err := place(policy, hi, load, alive, hostCap)
+		if len(hi) > free {
+			if err == nil || !strings.Contains(err.Error(), "exceed surviving capacity") {
+				t.Fatalf("%s: %d containers over %d free slots: got %v, want loud capacity error", input, len(hi), free, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", input, err)
+		}
+		again, _ := place(policy, hi, load, alive, hostCap)
+		if !reflect.DeepEqual(got, again) {
+			t.Fatalf("%s: same input, different assignments %v vs %v", input, got, again)
+		}
+		count := append([]int(nil), load...)
+		for i, h := range got {
+			if h < 0 || h >= hosts || !alive[h] {
+				t.Fatalf("%s: container %d placed on dead or missing host %d", input, i, h)
+			}
+			count[h]++
+		}
+		for h, n := range count {
+			if n > hostCap {
+				t.Fatalf("%s: host %d holds %d, cap %d", input, h, n, hostCap)
+			}
+		}
+		if policy == PlaceSpread && equal {
+			lo, hiN := -1, -1
+			for h, n := range count {
+				if !alive[h] {
+					continue
+				}
+				if lo < 0 || n < lo {
+					lo = n
+				}
+				if n > hiN {
+					hiN = n
+				}
+			}
+			if lo >= 0 && hiN-lo > 1 {
+				t.Fatalf("%s: spread from equal load ended unbalanced %v", input, count)
+			}
+		}
 	}
 }
 
@@ -354,8 +508,7 @@ func TestClusterFaultPlanesInjectPerHost(t *testing.T) {
 			t.Fatalf("%s built without a plane", n.Name)
 		}
 		st := n.Plane.Stats()
-		sum := st.Corrupted + st.LinkDropped + st.Jittered + st.OverrunDropped +
-			st.IRQsLost + st.IRQsSpurious + st.SoftirqStalls + st.ConsumerStalls
+		sum := st.Injected()
 		injected += sum
 		seen[sum] = true
 	}

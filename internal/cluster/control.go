@@ -79,10 +79,11 @@ type ContainerSpec struct {
 	Ingress int
 }
 
-// Place assigns each container to a host, deterministically: ties break
-// toward the lowest host ID, and the input order is part of the contract
-// (the same specs always yield the same assignment). hostCap bounds
-// containers per host; it errors when the policy cannot respect it.
+// Place assigns each container to a host at build time: place over an
+// empty cluster with every host alive. The input order is part of the
+// contract (the same specs always yield the same assignment). hostCap
+// bounds containers per host; it errors when the policy cannot respect
+// it.
 func Place(policy Placement, specs []ContainerSpec, hosts, hostCap int) ([]int, error) {
 	if hosts < 1 {
 		return nil, fmt.Errorf("cluster: placement needs at least one host")
@@ -94,58 +95,101 @@ func Place(policy Placement, specs []ContainerSpec, hosts, hostCap int) ([]int, 
 		return nil, fmt.Errorf("cluster: %d containers exceed cluster capacity %d (%d hosts × %d)",
 			len(specs), hosts*hostCap, hosts, hostCap)
 	}
-	count := make([]int, hosts)
-	assign := make([]int, len(specs))
-	leastLoaded := func() int {
-		best := -1
-		for h := 0; h < hosts; h++ {
-			if count[h] >= hostCap {
-				continue
-			}
-			if best < 0 || count[h] < count[best] {
-				best = h
-			}
-		}
-		return best
+	hi := make([]bool, len(specs))
+	for i, s := range specs {
+		hi[i] = s.Hi
 	}
-	firstFit := func() int {
-		for h := 0; h < hosts; h++ {
-			if count[h] < hostCap {
-				return h
-			}
-		}
-		return -1
+	alive := make([]bool, hosts)
+	for h := range alive {
+		alive[h] = true
 	}
-	place := func(i, h int) {
+	return place(policy, hi, make([]int, hosts), alive, hostCap)
+}
+
+// place is the cluster's one placement routine, shared by build-time
+// placement, recovery re-placement and the priority policy's hi-flow
+// eviction. It assigns containers (hi flags each one's priority class)
+// over live state: load is every host's current container count, alive
+// marks the hosts accepting work, and hostCap bounds per-host occupancy.
+// Ties break toward the lowest host ID, so the same input always yields
+// the same assignment. It fails loudly — never wraps around or overloads
+// a host — when the alive hosts cannot absorb the containers.
+func place(policy Placement, hi []bool, load []int, alive []bool, hostCap int) ([]int, error) {
+	free := 0
+	for h, n := range load {
+		if alive[h] && n < hostCap {
+			free += hostCap - n
+		}
+	}
+	if len(hi) > free {
+		return nil, fmt.Errorf("cluster: %d containers exceed surviving capacity %d (cap %d per host)",
+			len(hi), free, hostCap)
+	}
+	pl := placer{count: append([]int(nil), load...), alive: alive, hostCap: hostCap}
+	assign := make([]int, len(hi))
+	put := func(i, h int) {
 		assign[i] = h
-		count[h]++
+		pl.count[h]++
 	}
 	switch policy {
 	case PlaceSpread:
-		for i := range specs {
-			place(i, leastLoaded())
+		for i := range hi {
+			put(i, pl.leastLoaded())
 		}
 	case PlacePack:
-		for i := range specs {
-			place(i, firstFit())
+		for i := range hi {
+			put(i, pl.firstFit())
 		}
 	case PlacePriority:
 		// Best-effort first, packed; then high priority onto the hosts
 		// the packing left emptiest.
-		for i, s := range specs {
-			if !s.Hi {
-				place(i, firstFit())
+		for i, isHi := range hi {
+			if !isHi {
+				put(i, pl.firstFit())
 			}
 		}
-		for i, s := range specs {
-			if s.Hi {
-				place(i, leastLoaded())
+		for i, isHi := range hi {
+			if isHi {
+				put(i, pl.leastLoaded())
 			}
 		}
 	default:
 		return nil, fmt.Errorf("cluster: unknown placement policy %d", int(policy))
 	}
 	return assign, nil
+}
+
+// placer is the host-choice state behind place: per-host occupancy, the
+// hosts eligible for new work, and the per-host cap.
+type placer struct {
+	count   []int
+	alive   []bool
+	hostCap int
+}
+
+// leastLoaded returns the eligible host with the fewest containers and
+// room for one more (lowest ID on ties), or -1 when none has room.
+func (p *placer) leastLoaded() int {
+	best := -1
+	for h, c := range p.count {
+		if !p.alive[h] || c >= p.hostCap {
+			continue
+		}
+		if best < 0 || c < p.count[best] {
+			best = h
+		}
+	}
+	return best
+}
+
+// firstFit returns the lowest-ID eligible host with room, or -1.
+func (p *placer) firstFit() int {
+	for h, c := range p.count {
+		if p.alive[h] && c < p.hostCap {
+			return h
+		}
+	}
+	return -1
 }
 
 // Route is one snapshot entry: where frames for a destination port go.

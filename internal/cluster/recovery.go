@@ -115,9 +115,8 @@ type Migration struct {
 
 // recoveryState is the controller's working state.
 type recoveryState struct {
-	cfg    RecoveryConfig
-	det    *rec.Detector
-	policy rec.Policy
+	cfg RecoveryConfig
+	det *rec.Detector
 	// alive flags hosts not yet cordoned; aliveN counts them.
 	alive  []bool
 	aliveN int
@@ -149,13 +148,6 @@ func (c *Cluster) initRecovery() error {
 	if err := cfg.Script.Validate(c.Cfg.Hosts, c.Cfg.Fabric.Racks); err != nil {
 		return err
 	}
-	policy := rec.Spread
-	switch c.Cfg.Placement {
-	case PlacePack:
-		policy = rec.Pack
-	case PlacePriority:
-		policy = rec.Priority
-	}
 	alive := make([]bool, c.Cfg.Hosts)
 	for i := range alive {
 		alive[i] = true
@@ -163,7 +155,6 @@ func (c *Cluster) initRecovery() error {
 	c.rec = &recoveryState{
 		cfg:     cfg,
 		det:     rec.NewDetector(c.Cfg.Hosts, cfg.SuspectAfter),
-		policy:  policy,
 		alive:   alive,
 		aliveN:  c.Cfg.Hosts,
 		torDown: make([]bool, len(c.Tors)),
@@ -370,11 +361,7 @@ func (c *Cluster) recoverHost(h int, at sim.Time) {
 	for k, i := range orphans {
 		hi[k] = c.Flows[i].Spec.Hi
 	}
-	load := make([]int, len(c.Nodes))
-	for i, node := range c.Nodes {
-		load[i] = len(node.Host.Containers)
-	}
-	dest, err := rec.Replace(r.policy, hi, load, r.alive, c.Cfg.HostCap)
+	dest, err := place(c.Cfg.Placement, hi, c.loads(), r.alive, c.Cfg.HostCap)
 	if err != nil {
 		r.err = fmt.Errorf("cluster: recovering host%02d at %d: %w", h, at, err)
 		return
@@ -387,13 +374,13 @@ func (c *Cluster) recoverHost(h int, at sim.Time) {
 		}
 	}
 	// Under the Priority policy the crashed host is usually the packed
-	// best-effort dump, and Replace necessarily re-packs that load onto a
-	// survivor that is already serving prioritized flows — the isolation
-	// the original placement established would silently die with the
-	// host. Restore it in the same epoch: evict the prioritized flows
-	// from every host that just absorbed best-effort orphans onto the
-	// least-loaded survivors that did not.
-	if r.policy == rec.Priority {
+	// best-effort dump, and re-placement necessarily re-packs that load
+	// onto a survivor that is already serving prioritized flows — the
+	// isolation the original placement established would silently die
+	// with the host. Restore it in the same epoch: evict the prioritized
+	// flows from every host that just absorbed best-effort orphans onto
+	// the least-loaded survivors that did not.
+	if c.Cfg.Placement == PlacePriority {
 		dump := make([]bool, len(c.Nodes))
 		dumped := false
 		for k := range orphans {
@@ -403,40 +390,38 @@ func (c *Cluster) recoverHost(h int, at sim.Time) {
 			}
 		}
 		if dumped {
-			count := make([]int, len(c.Nodes))
-			for i, node := range c.Nodes {
-				count[i] = len(node.Host.Containers)
+			clean := make([]bool, len(c.Nodes))
+			for i := range clean {
+				clean[i] = r.alive[i] && !dump[i]
 			}
-			target := func() int {
-				best := -1
-				for i := range c.Nodes {
-					if !r.alive[i] || dump[i] || count[i] >= c.Cfg.HostCap {
-						continue
-					}
-					if best < 0 || count[i] < count[best] {
-						best = i
-					}
-				}
-				return best
-			}
+			pl := placer{count: c.loads(), alive: clean, hostCap: c.Cfg.HostCap}
 			for i, fl := range c.Flows {
 				if !fl.Spec.Hi || !dump[c.Assignment[i]] {
 					continue
 				}
-				d := target()
+				d := pl.leastLoaded()
 				if d < 0 {
 					break // every survivor is a dump host; leave in place
 				}
 				if !c.migrateFlow(i, d, at, routes, old.Version) {
 					return
 				}
-				count[d]++
+				pl.count[d]++
 			}
 		}
 	}
 	if err := c.SwapSnapshot(NewSnapshot(old.Version+1, routes)); err != nil {
 		r.err = err
 	}
+}
+
+// loads returns every host's current container count.
+func (c *Cluster) loads() []int {
+	n := make([]int, len(c.Nodes))
+	for i, node := range c.Nodes {
+		n[i] = len(node.Host.Containers)
+	}
+	return n
 }
 
 // Detections returns the detector's suspicion records in detection

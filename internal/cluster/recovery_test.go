@@ -310,3 +310,63 @@ func TestClusterRecoveryScriptValidated(t *testing.T) {
 		t.Fatal("out-of-range scripted host accepted")
 	}
 }
+
+// --- priority eviction with no clean survivor ---
+
+// TestClusterRecoveryPriorityAllDumpHosts crashes the best-effort dump
+// host of a two-host priority cluster. Its orphans re-pack onto the only
+// survivor, which already serves every prioritized flow, so the eviction
+// step finds no clean host: the hi flows must stay where they are, with
+// no error, and the epoch must still swap.
+func TestClusterRecoveryPriorityAllDumpHosts(t *testing.T) {
+	cfg := smallConfig(53)
+	cfg.Hosts = 2
+	cfg.HostCap = 8
+	cfg.Specs = nil
+	for i := 0; i < 8; i++ {
+		// Six best-effort echoes pack onto host 0; the two hi echoes then
+		// spread to the emptier host 1.
+		cfg.Specs = append(cfg.Specs, ContainerSpec{Hi: i >= 6, Rate: 1_000, Ingress: 1})
+	}
+	cfg.Fabric = FabricConfig{Racks: 1}
+	cfg.Recovery = &RecoveryConfig{
+		Script: rec.Script{{Kind: rec.HostCrash, Host: 0, At: 5 * sim.Millisecond}},
+	}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{0, 0, 0, 0, 0, 0, 1, 1}
+	if !reflect.DeepEqual(c.Assignment, want) {
+		t.Fatalf("test setup: placement %v, want %v", c.Assignment, want)
+	}
+	if err := c.Run(20*sim.Millisecond, 1); err != nil {
+		t.Fatalf("recovery with no clean survivor errored: %v", err)
+	}
+	if len(c.Detections()) != 1 {
+		t.Fatalf("detections = %+v, want exactly host 0", c.Detections())
+	}
+	migs := c.Migrations()
+	if len(migs) != 6 {
+		t.Fatalf("migrated %d flows, want the 6 best-effort orphans", len(migs))
+	}
+	for _, m := range migs {
+		if cfg.Specs[m.Flow].Hi {
+			t.Fatalf("hi flow %d evicted with no clean host to take it: %+v", m.Flow, m)
+		}
+	}
+	for i := 6; i < 8; i++ {
+		if c.Assignment[i] != 1 {
+			t.Fatalf("hi flow %d moved to host %d, want it left on host 1", i, c.Assignment[i])
+		}
+	}
+	if v := c.Snapshot().Version; v != 2 {
+		t.Fatalf("snapshot version = %d, want the recovery epoch 2", v)
+	}
+	if err := c.Settle(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CheckInvariants(true); err != nil {
+		t.Fatalf("strict invariants: %v", err)
+	}
+}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -27,8 +26,8 @@ func DefaultClusterConfig() ClusterConfig {
 	return ClusterConfig{Hosts: 16, Containers: 1000, Placements: cluster.Placements}
 }
 
-func (cc ClusterConfig) withDefaults() ClusterConfig {
-	def := DefaultClusterConfig()
+// withDefaults fills cc's unset fields from def.
+func (cc ClusterConfig) withDefaults(def ClusterConfig) ClusterConfig {
 	if cc.Hosts <= 0 {
 		cc.Hosts = def.Hosts
 	}
@@ -39,6 +38,26 @@ func (cc ClusterConfig) withDefaults() ClusterConfig {
 		cc.Placements = def.Placements
 	}
 	return cc
+}
+
+// config is the experiment cluster under one placement policy:
+// clusterSpecs's workload on PRISM-sync hosts behind the ingress
+// admission point the cluster and failover grids share.
+func (cc ClusterConfig) config(p Params, pol cluster.Placement) cluster.Config {
+	return cluster.Config{
+		Hosts:     cc.Hosts,
+		Placement: pol,
+		Seed:      p.Seed,
+		Host:      BaseSpec(p, prio.ModeSync),
+		Specs:     clusterSpecs(p, cc.Hosts, cc.Containers),
+		// Slightly below the busiest hosts' offered ingress, so the
+		// bucket visibly shaves best-effort bursts while the reserve
+		// keeps prioritized flows untouched.
+		Admission: &cluster.Admission{Rate: 55_000, Burst: 96, HiReserve: 0.25},
+		Warmup:    p.Warmup,
+		EchoCost:  p.EchoCost,
+		SinkCost:  p.SinkCost,
+	}
 }
 
 // clusterSpecs builds the experiment workload: one flood sink per host
@@ -117,43 +136,71 @@ type ClusterResult struct {
 
 // Cluster runs the multi-host datacenter experiment: the same workload
 // placed by each policy in turn, each run a full cluster simulation over
-// p.Workers shard workers (bit-identical for any worker count).
-func Cluster(p Params, cc ClusterConfig) ClusterResult {
-	cc = cc.withDefaults()
+// p.Workers shard workers (bit-identical for any worker count). It
+// errors when a policy cannot build or run the cluster, e.g. more
+// containers than the hosts can hold.
+func Cluster(p Params, cc ClusterConfig) (ClusterResult, error) {
+	cc = cc.withDefaults(DefaultClusterConfig())
 	res := ClusterResult{Seed: p.Seed, Hosts: cc.Hosts, Containers: cc.Containers}
 	for _, pol := range cc.Placements {
-		row, racks := clusterPoint(p, cc, pol)
-		res.Racks = racks
+		row := ClusterRow{Placement: pol.String()}
+		var err error
+		row.MetricsSHA, row.SpansSHA, err = RunCluster(p, cc.config(p, pol), ClusterRun{
+			Label:  "cluster/" + pol.String(),
+			Strict: true,
+			Measure: func(c *cluster.Cluster) {
+				res.Racks = c.Cfg.Fabric.Racks
+				row.Windows = c.Group.Windows
+				hiH, loH := c.LatencyHists()
+				row.Hi, row.Lo = hiH.Summarize(), loH.Summarize()
+				row.HiSent, row.HiRecv, row.LoSent, row.LoRecv, _, row.FloodRecv = c.FlowCounts()
+				row.AdmitDenied = c.AdmissionDenied()
+				row.FabricDrops, row.FabricShed = c.FabricDrops()
+				row.FabricUtilMax, row.FabricUtilMean = c.FabricUtilization(c.Horizon())
+			},
+		})
+		if err != nil {
+			return ClusterResult{}, fmt.Errorf("experiments: cluster/%s: %w", pol, err)
+		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res
+	return res, nil
 }
 
-func clusterPoint(p Params, cc ClusterConfig, pol cluster.Placement) (ClusterRow, int) {
-	cfg := cluster.Config{
-		Hosts:     cc.Hosts,
-		Placement: pol,
-		Seed:      p.Seed,
-		Host:      BaseSpec(p, prio.ModeSync),
-		Specs:     clusterSpecs(p, cc.Hosts, cc.Containers),
-		// Slightly below the busiest hosts' offered ingress, so the
-		// bucket visibly shaves best-effort bursts while the reserve
-		// keeps prioritized flows untouched.
-		Admission: &cluster.Admission{Rate: 55_000, Burst: 96, HiReserve: 0.25},
-		Warmup:    p.Warmup,
-		EchoCost:  p.EchoCost,
-		SinkCost:  p.SinkCost,
-	}
-	c, err := cluster.New(cfg)
-	mustNoErr(err)
+// ClusterRun is what one cluster simulation brings to RunCluster beyond
+// its config.
+type ClusterRun struct {
+	// Label names the run on the live operator surface.
+	Label string
+	// Strict demands zero in-flight state at the final conservation
+	// check: the experiments always ask for it, scenarios only when the
+	// file declares conservation.
+	Strict bool
+	// Prepare, when set, hooks the built cluster before it runs.
+	Prepare func(c *cluster.Cluster)
+	// Measure reads the cluster at the measured horizon, after Run and
+	// before Settle extends the clocks.
+	Measure func(c *cluster.Cluster)
+}
 
-	// Attach the live operator surface, when one is listening: frame taps
-	// feed /capture (classified by the cluster's flow table), and a
-	// virtual-time checkpoint streams merged metric snapshots, trace
-	// deltas and per-port fabric load. All hooks are pure observation at
-	// quiescent points — the digests below stay bit-identical either way.
+// RunCluster is the one pass every cluster run goes through: build cfg,
+// attach the live surface when p.Live is listening, run p.Duration over
+// p.Workers, measure, digest the merged observability streams, detach,
+// settle, and check cluster-wide conservation. It returns the metrics
+// and span digests.
+func RunCluster(p Params, cfg cluster.Config, run ClusterRun) (metricsSHA, spansSHA string, err error) {
+	c, err := cluster.New(cfg)
+	if err != nil {
+		return "", "", err
+	}
+
+	// Frame taps feed /capture (classified by the cluster's flow table),
+	// and a virtual-time checkpoint streams merged metric snapshots,
+	// trace deltas and per-port fabric load. All hooks are pure
+	// observation at quiescent points — the digests stay bit-identical
+	// either way.
 	if lv := p.Live; lv != nil {
-		lv.SetRun("cluster/"+pol.String(), cfg.Warmup+p.Duration)
+		lv.SetRun(run.Label, cfg.Warmup+p.Duration)
 		lv.SetClassifier(c.ClassifyFrame)
 		c.SetTap(lv.Tap)
 		streamer := obs.NewStreamer(lv, c.Pipes()...)
@@ -162,44 +209,36 @@ func clusterPoint(p Params, cc ClusterConfig, pol cluster.Placement) (ClusterRow
 			streamer.Checkpoint(at)
 		})
 	}
-
-	mustNoErr(c.Run(p.Duration, p.Workers))
-
-	row := ClusterRow{Placement: pol.String(), Windows: c.Group.Windows}
-	hiH, loH := c.LatencyHists()
-	row.Hi, row.Lo = hiH.Summarize(), loH.Summarize()
-	row.HiSent, row.HiRecv, row.LoSent, row.LoRecv, _, row.FloodRecv = c.FlowCounts()
-	row.AdmitDenied = c.AdmissionDenied()
-	row.FabricDrops, row.FabricShed = c.FabricDrops()
-	row.FabricUtilMax, row.FabricUtilMean = c.FabricUtilization(c.Horizon())
-
-	// Digest the full observability surface at the measured horizon, in
-	// shard order: the determinism gates compare these across worker
-	// counts.
-	pipes := c.Pipes()
-	regs := make([]*obs.Registry, len(pipes))
-	streams := make([][]obs.Event, len(pipes))
-	for i, pipe := range pipes {
-		regs[i] = pipe.M
-		streams[i] = pipe.T.Events()
+	if run.Prepare != nil {
+		run.Prepare(c)
 	}
-	row.MetricsSHA = digest([]byte(obs.PrometheusText(obs.MergeRegistries(regs...))))
-	spans, err := json.Marshal(obs.MergeEvents(streams...))
-	mustNoErr(err)
-	row.SpansSHA = digest(spans)
+	if err := c.Run(p.Duration, p.Workers); err != nil {
+		return "", "", err
+	}
+	run.Measure(c)
+	// Digest the full observability surface at the measured horizon, in
+	// shard order.
+	if metricsSHA, spansSHA, err = obs.Digests(c.Pipes()...); err != nil {
+		return "", "", err
+	}
 
 	// Stop observing before Settle extends the clocks past the measured
 	// horizon: the final checkpoint (flushed at the horizon inside Run)
-	// is the last snapshot the live surface serves for this point.
+	// is the last snapshot the live surface serves for this run.
 	if p.Live != nil {
 		c.SetCheckpoint(0, nil)
 		c.SetTap(nil)
 	}
-
-	// Tear down cleanly and enforce the zero-leak invariants cluster-wide.
-	mustNoErr(c.Settle(0, p.Workers))
-	mustNoErr(c.CheckInvariants(true))
-	return row, c.Cfg.Fabric.Racks
+	// Settle drains in-flight frames, then the cluster check must close
+	// every ledger, including the crash, epoch-drop and per-migration
+	// terms of a recovered run.
+	if err := c.Settle(0, p.Workers); err != nil {
+		return "", "", err
+	}
+	if err := c.CheckInvariants(run.Strict); err != nil {
+		return "", "", fmt.Errorf("conservation check failed: %w", err)
+	}
+	return metricsSHA, spansSHA, nil
 }
 
 // String renders the per-policy table.

@@ -16,10 +16,19 @@ const clusterGoldenPath = "testdata/cluster_golden.json"
 // containers, all three placement policies — at detParams duration, and
 // must be bit-identical at 1, 2 and 4 workers (the committed digests are
 // what the CI cluster-determinism job re-derives).
-func clusterCapture(workers int) ClusterResult {
+func clusterCapture(t *testing.T, workers int) ClusterResult {
 	p := detParams()
 	p.Workers = workers
-	return Cluster(p, DefaultClusterConfig())
+	return mustCluster(t, p, DefaultClusterConfig())
+}
+
+func mustCluster(t *testing.T, p Params, cc ClusterConfig) ClusterResult {
+	t.Helper()
+	res, err := Cluster(p, cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestClusterGolden pins the datacenter experiment bit-for-bit: latency
@@ -29,7 +38,7 @@ func clusterCapture(workers int) ClusterResult {
 //
 //	go test ./internal/experiments -run TestClusterGolden -update-golden
 func TestClusterGolden(t *testing.T) {
-	got := clusterCapture(1)
+	got := clusterCapture(t, 1)
 
 	if *updateGolden {
 		b, err := json.MarshalIndent(got, "", "\t")
@@ -63,7 +72,7 @@ func TestClusterGolden(t *testing.T) {
 	}
 	check("workers=1", got)
 	for _, w := range []int{2, 4} {
-		check("workers="+string(rune('0'+w)), clusterCapture(w))
+		check("workers="+string(rune('0'+w)), clusterCapture(t, w))
 	}
 }
 
@@ -114,13 +123,13 @@ func TestClusterGoldenHasSignal(t *testing.T) {
 func TestClusterSeedDeterministic(t *testing.T) {
 	p := detParams()
 	cc := ClusterConfig{Hosts: 4, Containers: 48, Placements: []cluster.Placement{cluster.PlaceSpread}}
-	a := Cluster(p, cc)
-	b := Cluster(p, cc)
+	a := mustCluster(t, p, cc)
+	b := mustCluster(t, p, cc)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed diverged:\nfirst:  %+v\nsecond: %+v", a, b)
 	}
 	p.Seed = 7
-	c := Cluster(p, cc)
+	c := mustCluster(t, p, cc)
 	if a.Rows[0].SpansSHA == c.Rows[0].SpansSHA {
 		t.Fatal("different seeds produced identical span streams")
 	}

@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
 	"prism/internal/cluster"
-	"prism/internal/obs"
-	"prism/internal/prio"
 	rec "prism/internal/recover"
 	"prism/internal/sim"
 	"prism/internal/stats"
@@ -18,9 +15,7 @@ import (
 // migrate its containers and swap the routing epoch, under each
 // placement policy in turn.
 type FailoverConfig struct {
-	Hosts      int
-	Containers int
-	Placements []cluster.Placement
+	ClusterConfig
 
 	// CrashHost is the victim; CrashAfter the crash offset into the
 	// measured window; Downtime how long the host stays dark before its
@@ -35,15 +30,13 @@ type FailoverConfig struct {
 	RecoverWindow sim.Time
 }
 
-// DefaultFailoverConfig is the fixture point: 8 hosts, 200 containers,
-// host 0 killed 10ms into the measured window. Host 0 is the victim
-// because every placement policy populates it — pack stacks the whole
-// workload there, so its crash is also the worst case.
+// DefaultFailoverConfig is the fixture point: 8 hosts in 2 racks, 200
+// containers, host 0 killed 10ms into the measured window. Host 0 is the
+// victim because every placement policy populates it — pack stacks the
+// whole workload there, so its crash is also the worst case.
 func DefaultFailoverConfig() FailoverConfig {
 	return FailoverConfig{
-		Hosts:         8,
-		Containers:    200,
-		Placements:    cluster.Placements,
+		ClusterConfig: ClusterConfig{Hosts: 8, Containers: 200, Placements: cluster.Placements},
 		CrashHost:     0,
 		CrashAfter:    10 * sim.Millisecond,
 		Downtime:      8 * sim.Millisecond,
@@ -53,15 +46,7 @@ func DefaultFailoverConfig() FailoverConfig {
 
 func (fc FailoverConfig) withDefaults() FailoverConfig {
 	def := DefaultFailoverConfig()
-	if fc.Hosts <= 0 {
-		fc.Hosts = def.Hosts
-	}
-	if fc.Containers <= 0 {
-		fc.Containers = def.Containers
-	}
-	if len(fc.Placements) == 0 {
-		fc.Placements = def.Placements
-	}
+	fc.ClusterConfig = fc.ClusterConfig.withDefaults(def.ClusterConfig)
 	if fc.CrashHost < 0 || fc.CrashHost >= fc.Hosts {
 		fc.CrashHost = def.CrashHost
 	}
@@ -124,21 +109,89 @@ type FailoverResult struct {
 
 // Failover runs the kill-and-recover grid: the same workload under each
 // placement policy, with one scripted host crash mid-run. Bit-identical
-// for any worker count.
-func Failover(p Params, fc FailoverConfig) FailoverResult {
+// for any worker count. It errors when a policy cannot build the cluster
+// or recover from the crash, e.g. no survivor has room for the orphans.
+func Failover(p Params, fc FailoverConfig) (FailoverResult, error) {
 	fc = fc.withDefaults()
+	crashAt := p.Warmup + fc.CrashAfter
+	recovered := crashAt + fc.RecoverWindow
 	res := FailoverResult{
 		Seed: p.Seed, Hosts: fc.Hosts, Containers: fc.Containers,
 		CrashHost:    fc.CrashHost,
-		CrashAt:      p.Warmup + fc.CrashAfter,
-		RecoverBound: p.Warmup + fc.CrashAfter + fc.RecoverWindow,
+		CrashAt:      crashAt,
+		RecoverBound: recovered,
 	}
 	for _, pol := range fc.Placements {
-		row, racks := failoverPoint(p, fc, pol)
-		res.Racks = racks
+		cfg := fc.config(p, pol)
+		cfg.Fabric = cluster.FabricConfig{Racks: 2}
+		cfg.Recovery = &cluster.RecoveryConfig{
+			Script: rec.Script{{
+				Kind: rec.HostCrash, Host: fc.CrashHost,
+				At: crashAt, Until: crashAt + fc.Downtime,
+			}},
+			RetryMax:         3,
+			DegradeAdmission: true,
+		}
+
+		// Per-flow three-phase histograms, fed from the echo sample
+		// hook. The hook runs in event context on the flow's ingress
+		// shard, so the ingress engine's clock is the sample time and
+		// every write is shard-local — merged only after Run.
+		var hi, lo [3][]*stats.Histogram
+		prepare := func(c *cluster.Cluster) {
+			for _, f := range c.Flows {
+				if f.PP == nil {
+					continue
+				}
+				var h [3]*stats.Histogram
+				for i := range h {
+					h[i] = stats.NewHistogram()
+					if f.Spec.Hi {
+						hi[i] = append(hi[i], h[i])
+					} else {
+						lo[i] = append(lo[i], h[i])
+					}
+				}
+				eng := c.Nodes[f.Ingress].Shard.Eng
+				f.PP.OnSample = func(seq uint64, lat sim.Time) {
+					h[phaseIndex(eng.Now(), crashAt, recovered)].Record(lat)
+				}
+			}
+		}
+
+		row := FailoverRow{Placement: pol.String()}
+		var err error
+		row.MetricsSHA, row.SpansSHA, err = RunCluster(p, cfg, ClusterRun{
+			Label:   "failover/" + pol.String(),
+			Strict:  true,
+			Prepare: prepare,
+			Measure: func(c *cluster.Cluster) {
+				res.Racks = c.Cfg.Fabric.Racks
+				row.Windows = c.Group.Windows
+				row.HiBefore = stats.MergeHistograms(hi[0]...).Summarize()
+				row.HiDuring = stats.MergeHistograms(hi[1]...).Summarize()
+				row.HiAfter = stats.MergeHistograms(hi[2]...).Summarize()
+				row.LoBefore = stats.MergeHistograms(lo[0]...).Summarize()
+				row.LoDuring = stats.MergeHistograms(lo[1]...).Summarize()
+				row.LoAfter = stats.MergeHistograms(lo[2]...).Summarize()
+				dets := c.Detections()
+				row.Detections = len(dets)
+				if len(dets) > 0 {
+					row.DetectLat = dets[0].SuspectAt - dets[0].DownAt
+				}
+				row.Migrated = len(c.Migrations())
+				row.SnapVersion = c.Snapshot().Version
+				row.CrashRx, row.CrashTx = c.CrashDrops()
+				row.EpochDrops = c.EpochDrops()
+				row.AdmitRetries = c.RecoveryRetries()
+			},
+		})
+		if err != nil {
+			return FailoverResult{}, fmt.Errorf("experiments: failover/%s: %w", pol, err)
+		}
 		res.Rows = append(res.Rows, row)
 	}
-	return res
+	return res, nil
 }
 
 // phaseIndex buckets a sample time against the two phase boundaries.
@@ -151,130 +204,6 @@ func phaseIndex(at, crash, recovered sim.Time) int {
 	default:
 		return 2
 	}
-}
-
-func failoverPoint(p Params, fc FailoverConfig, pol cluster.Placement) (FailoverRow, int) {
-	crashAt := p.Warmup + fc.CrashAfter
-	recovered := crashAt + fc.RecoverWindow
-	cfg := cluster.Config{
-		Hosts:     fc.Hosts,
-		Placement: pol,
-		Seed:      p.Seed,
-		Host:      BaseSpec(p, prio.ModeSync),
-		Specs:     clusterSpecs(p, fc.Hosts, fc.Containers),
-		Admission: &cluster.Admission{Rate: 55_000, Burst: 96, HiReserve: 0.25},
-		Fabric:    cluster.FabricConfig{Racks: 2},
-		Warmup:    p.Warmup,
-		EchoCost:  p.EchoCost,
-		SinkCost:  p.SinkCost,
-		Recovery: &cluster.RecoveryConfig{
-			Script: rec.Script{{
-				Kind: rec.HostCrash, Host: fc.CrashHost,
-				At: crashAt, Until: crashAt + fc.Downtime,
-			}},
-			RetryMax:         3,
-			DegradeAdmission: true,
-		},
-	}
-	c, err := cluster.New(cfg)
-	mustNoErr(err)
-
-	// Attach the live operator surface, when one is listening — same
-	// pure-observation hooks as the cluster grid, so an operator can
-	// watch the crash and recovery (fabric load shifting, /capture of
-	// the migrated flows) without perturbing the digests.
-	if lv := p.Live; lv != nil {
-		lv.SetRun("failover/"+pol.String(), cfg.Warmup+p.Duration)
-		lv.SetClassifier(c.ClassifyFrame)
-		c.SetTap(lv.Tap)
-		streamer := obs.NewStreamer(lv, c.Pipes()...)
-		c.SetCheckpoint(lv.Interval, func(at sim.Time) {
-			lv.PublishFabric(c.FabricPortUtil(at))
-			streamer.Checkpoint(at)
-		})
-	}
-
-	// Per-flow three-phase histograms, fed from the echo sample hook.
-	// The hook runs in event context on the flow's ingress shard, so the
-	// ingress engine's clock is the sample time and every write is
-	// shard-local — no synchronization needed, merged only after Run.
-	type phased struct {
-		hi bool
-		h  [3]*stats.Histogram
-	}
-	var phasedFlows []*phased
-	for _, f := range c.Flows {
-		if f.PP == nil {
-			continue
-		}
-		ph := &phased{hi: f.Spec.Hi}
-		for i := range ph.h {
-			ph.h[i] = stats.NewHistogram()
-		}
-		eng := c.Nodes[f.Ingress].Shard.Eng
-		pp := f.PP
-		pp.OnSample = func(seq uint64, lat sim.Time) {
-			ph.h[phaseIndex(eng.Now(), crashAt, recovered)].Record(lat)
-		}
-		phasedFlows = append(phasedFlows, ph)
-	}
-
-	mustNoErr(c.Run(p.Duration, p.Workers))
-
-	row := FailoverRow{Placement: pol.String(), Windows: c.Group.Windows}
-	var hi, lo [3][]*stats.Histogram
-	for _, ph := range phasedFlows {
-		for i := range ph.h {
-			if ph.hi {
-				hi[i] = append(hi[i], ph.h[i])
-			} else {
-				lo[i] = append(lo[i], ph.h[i])
-			}
-		}
-	}
-	row.HiBefore = stats.MergeHistograms(hi[0]...).Summarize()
-	row.HiDuring = stats.MergeHistograms(hi[1]...).Summarize()
-	row.HiAfter = stats.MergeHistograms(hi[2]...).Summarize()
-	row.LoBefore = stats.MergeHistograms(lo[0]...).Summarize()
-	row.LoDuring = stats.MergeHistograms(lo[1]...).Summarize()
-	row.LoAfter = stats.MergeHistograms(lo[2]...).Summarize()
-
-	dets := c.Detections()
-	row.Detections = len(dets)
-	if len(dets) > 0 {
-		row.DetectLat = dets[0].SuspectAt - dets[0].DownAt
-	}
-	row.Migrated = len(c.Migrations())
-	row.SnapVersion = c.Snapshot().Version
-	row.CrashRx, row.CrashTx = c.CrashDrops()
-	row.EpochDrops = c.EpochDrops()
-	row.AdmitRetries = c.RecoveryRetries()
-
-	pipes := c.Pipes()
-	regs := make([]*obs.Registry, len(pipes))
-	streams := make([][]obs.Event, len(pipes))
-	for i, pipe := range pipes {
-		regs[i] = pipe.M
-		streams[i] = pipe.T.Events()
-	}
-	row.MetricsSHA = digest([]byte(obs.PrometheusText(obs.MergeRegistries(regs...))))
-	spans, err := json.Marshal(obs.MergeEvents(streams...))
-	mustNoErr(err)
-	row.SpansSHA = digest(spans)
-
-	// Stop observing before Settle extends the clocks past the measured
-	// horizon, as the cluster grid does.
-	if p.Live != nil {
-		c.SetCheckpoint(0, nil)
-		c.SetTap(nil)
-	}
-
-	// Settle drains in-flight frames (the migrated flows keep serving),
-	// then the strict cluster check must close every ledger — including
-	// the crash, epoch-drop and per-migration conservation terms.
-	mustNoErr(c.Settle(0, p.Workers))
-	mustNoErr(c.CheckInvariants(true))
-	return row, c.Cfg.Fabric.Racks
 }
 
 // String renders the recovery timeline per placement.

@@ -16,10 +16,19 @@ const failoverGoldenPath = "testdata/failover_golden.json"
 // containers, host 2 killed mid-run, all three placement policies — and
 // must be bit-identical at 1, 2 and 4 workers (the CI
 // failover-determinism job re-derives the committed digests).
-func failoverCapture(workers int) FailoverResult {
+func failoverCapture(t *testing.T, workers int) FailoverResult {
 	p := detParams()
 	p.Workers = workers
-	return Failover(p, DefaultFailoverConfig())
+	return mustFailover(t, p, DefaultFailoverConfig())
+}
+
+func mustFailover(t *testing.T, p Params, fc FailoverConfig) FailoverResult {
+	t.Helper()
+	res, err := Failover(p, fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestFailoverGolden pins the recovery timeline bit-for-bit: the phase
@@ -29,7 +38,7 @@ func failoverCapture(workers int) FailoverResult {
 //
 //	go test ./internal/experiments -run TestFailoverGolden -update-golden
 func TestFailoverGolden(t *testing.T) {
-	got := failoverCapture(1)
+	got := failoverCapture(t, 1)
 
 	if *updateGolden {
 		b, err := json.MarshalIndent(got, "", "\t")
@@ -63,7 +72,7 @@ func TestFailoverGolden(t *testing.T) {
 	}
 	check("workers=1", got)
 	for _, w := range []int{2, 4} {
-		check("workers="+string(rune('0'+w)), failoverCapture(w))
+		check("workers="+string(rune('0'+w)), failoverCapture(t, w))
 	}
 }
 
@@ -120,15 +129,15 @@ func TestFailoverGoldenHasSignal(t *testing.T) {
 // the same seed and demands divergent span streams for different seeds.
 func TestFailoverSeedDeterministic(t *testing.T) {
 	p := detParams()
-	fc := FailoverConfig{Hosts: 4, Containers: 48,
-		Placements: []cluster.Placement{cluster.PlaceSpread}, CrashHost: 1}
-	a := Failover(p, fc)
-	b := Failover(p, fc)
+	fc := FailoverConfig{CrashHost: 1, ClusterConfig: ClusterConfig{
+		Hosts: 4, Containers: 48, Placements: []cluster.Placement{cluster.PlaceSpread}}}
+	a := mustFailover(t, p, fc)
+	b := mustFailover(t, p, fc)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed diverged:\nfirst:  %+v\nsecond: %+v", a, b)
 	}
 	p.Seed = 7
-	c := Failover(p, fc)
+	c := mustFailover(t, p, fc)
 	if a.Rows[0].SpansSHA == c.Rows[0].SpansSHA {
 		t.Fatal("different seeds produced identical span streams")
 	}

@@ -55,7 +55,7 @@ func TestClusterGoldenWithLiveSurface(t *testing.T) {
 	// in parallel — same coverage axes as the golden test, with the live
 	// surface publishing throughout.
 	p := liveParams(1)
-	got := Cluster(p, DefaultClusterConfig())
+	got := mustCluster(t, p, DefaultClusterConfig())
 	for _, row := range got.Rows {
 		w, g := mustJSON(t, fixtureRow(row.Placement)), mustJSON(t, row)
 		if string(w) != string(g) {
@@ -65,7 +65,7 @@ func TestClusterGoldenWithLiveSurface(t *testing.T) {
 	cc := DefaultClusterConfig()
 	cc.Placements = []cluster.Placement{cluster.PlaceSpread}
 	for _, workers := range []int{2, 4} {
-		got := Cluster(liveParams(workers), cc)
+		got := mustCluster(t, liveParams(workers), cc)
 		w, g := mustJSON(t, fixtureRow(got.Rows[0].Placement)), mustJSON(t, got.Rows[0])
 		if string(w) != string(g) {
 			t.Errorf("live surface perturbed spread at workers=%d\nwant: %s\ngot:  %s", workers, w, g)
@@ -124,7 +124,7 @@ func TestLiveSurfaceEndToEndCluster(t *testing.T) {
 	p := detParams()
 	p.Live = lv
 	cc := ClusterConfig{Hosts: 4, Containers: 48, Placements: []cluster.Placement{cluster.PlaceSpread}}
-	res := Cluster(p, cc)
+	res := mustCluster(t, p, cc)
 	row := res.Rows[0]
 
 	// The bounded capture closed at max=5; it must parse as a pcap with

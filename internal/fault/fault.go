@@ -166,6 +166,16 @@ type Counters struct {
 	TorLinkDowns    uint64
 }
 
+// Injected is the one definition of "faults injected": every corrupted,
+// dropped or jittered frame, every lost or spurious IRQ, every stall and
+// every host crash. Flap windows, overrun bursts and ToR-uplink outages
+// are counted by the frames they drop, not by themselves.
+func (c Counters) Injected() uint64 {
+	return c.Corrupted + c.LinkDropped + c.Jittered + c.OverrunDropped +
+		c.IRQsLost + c.IRQsSpurious + c.SoftirqStalls + c.ConsumerStalls +
+		c.HostCrashes
+}
+
 // Device is the watchdog/interrupt surface a NIC exposes to the plane.
 type Device interface {
 	// DeviceName labels the device in fault metrics.

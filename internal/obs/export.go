@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -130,6 +132,32 @@ func PrometheusText(r *Registry) string {
 		panic(err) // strings.Builder never errors
 	}
 	return b.String()
+}
+
+// Digests fingerprints pipes' merged observability output: the sha256 of
+// the Prometheus text of their merged registries, and of the JSON of
+// their merged span streams. Pass pipelines in shard order (the merge
+// order); nil pipelines are skipped. Equal digests across worker counts
+// are what the determinism gates check.
+func Digests(pipes ...*Pipeline) (metrics, spans string, err error) {
+	var regs []*Registry
+	var streams [][]Event
+	for _, p := range pipes {
+		if p != nil {
+			regs = append(regs, p.M)
+			streams = append(streams, p.T.Events())
+		}
+	}
+	b, err := json.Marshal(MergeEvents(streams...))
+	if err != nil {
+		return "", "", err
+	}
+	return sha256Hex([]byte(PrometheusText(MergeRegistries(regs...)))), sha256Hex(b), nil
+}
+
+func sha256Hex(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }
 
 // ---------------------------------------------------------------------------

@@ -273,3 +273,31 @@ func TestChromeStreamNDJSON(t *testing.T) {
 		t.Errorf("meta=%d spans=%d, want 3/3", meta, spans)
 	}
 }
+
+// TestDigests pins the merged digest to its definition — sha256 of the
+// Prometheus text of MergeRegistries and of the JSON of MergeEvents, in
+// pipeline order — and checks that nil pipelines are skipped.
+func TestDigests(t *testing.T) {
+	p0, p1 := NewPipeline("s0"), NewPipeline("s1")
+	p0.DMA(10, "eth0", 1, 1)
+	p1.DMA(10, "eth1", 2, 0)
+	p0.Span("eth0", StageNIC, 1, 1, 30, 40)
+
+	metrics, spans, err := Digests(p0, nil, p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(MergeEvents(p0.T.Events(), p1.T.Events()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := sha256Hex([]byte(PrometheusText(MergeRegistries(p0.M, p1.M)))); metrics != want {
+		t.Errorf("metrics digest %s, want %s", metrics, want)
+	}
+	if want := sha256Hex(b); spans != want {
+		t.Errorf("spans digest %s, want %s", spans, want)
+	}
+	if _, swapped, _ := Digests(p1, p0); swapped == spans {
+		t.Error("pipeline order does not reach the span digest")
+	}
+}

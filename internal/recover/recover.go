@@ -2,9 +2,10 @@
 // primitives the cluster's live control plane is built from: scripted
 // fail-stop events (host crashes, ToR-uplink failures), a heartbeat-based
 // failure detector whose latency is measured in simulated virtual time,
-// a re-placement solver that mirrors the build-time placement policies
-// over the surviving hosts, and the retry/backoff and capacity math the
-// degraded-mode admission path uses.
+// and the retry/backoff and capacity math the degraded-mode admission
+// path uses. Re-placement is not here: the cluster re-places a dead
+// host's containers with its own placer, the routine build-time
+// placement runs.
 //
 // Everything here is pure data and pure functions — no engines, no
 // events, no RNG — so the package is trivially deterministic and the
@@ -153,96 +154,6 @@ func (d *Detector) Suspected(host int) bool { return d.suspected[host] }
 
 // LastBeat returns host's most recent recorded heartbeat.
 func (d *Detector) LastBeat(host int) sim.Time { return d.last[host] }
-
-// Policy mirrors the cluster's placement policies for re-placement; the
-// cluster maps its own Placement type onto this one (an import cycle
-// keeps the two packages from sharing it).
-type Policy int
-
-const (
-	// Spread re-places onto the least-loaded surviving hosts.
-	Spread Policy = iota
-	// Pack fills surviving hosts in ID order.
-	Pack
-	// Priority packs best-effort orphans first, then spreads the
-	// high-priority ones across the hosts the packing left emptiest.
-	Priority
-)
-
-// Replace assigns each orphaned container to a surviving host, applying
-// the same deterministic policy semantics as the build-time placer but
-// over live state: load is every host's current physical container
-// count, alive marks the hosts still accepting work, and hostCap bounds
-// per-host occupancy. hi flags each orphan's priority class (Priority
-// policy only). It fails loudly — never wraps around — when the
-// survivors cannot absorb the orphans.
-func Replace(policy Policy, hi []bool, load []int, alive []bool, hostCap int) ([]int, error) {
-	hosts := len(load)
-	if len(alive) != hosts {
-		return nil, fmt.Errorf("recover: %d load entries but %d alive entries", hosts, len(alive))
-	}
-	free := 0
-	for h := 0; h < hosts; h++ {
-		if alive[h] && load[h] < hostCap {
-			free += hostCap - load[h]
-		}
-	}
-	if len(hi) > free {
-		return nil, fmt.Errorf("recover: %d orphaned containers exceed surviving capacity %d (cap %d per host)",
-			len(hi), free, hostCap)
-	}
-	count := make([]int, hosts)
-	copy(count, load)
-	assign := make([]int, len(hi))
-	leastLoaded := func() int {
-		best := -1
-		for h := 0; h < hosts; h++ {
-			if !alive[h] || count[h] >= hostCap {
-				continue
-			}
-			if best < 0 || count[h] < count[best] {
-				best = h
-			}
-		}
-		return best
-	}
-	firstFit := func() int {
-		for h := 0; h < hosts; h++ {
-			if alive[h] && count[h] < hostCap {
-				return h
-			}
-		}
-		return -1
-	}
-	place := func(i, h int) {
-		assign[i] = h
-		count[h]++
-	}
-	switch policy {
-	case Spread:
-		for i := range hi {
-			place(i, leastLoaded())
-		}
-	case Pack:
-		for i := range hi {
-			place(i, firstFit())
-		}
-	case Priority:
-		for i, isHi := range hi {
-			if !isHi {
-				place(i, firstFit())
-			}
-		}
-		for i, isHi := range hi {
-			if isHi {
-				place(i, leastLoaded())
-			}
-		}
-	default:
-		return nil, fmt.Errorf("recover: unknown re-placement policy %d", int(policy))
-	}
-	return assign, nil
-}
 
 // Backoff is the degraded-mode admission retry schedule: exponential
 // from Base, clamped at Max.

@@ -111,73 +111,6 @@ func TestDetectorStaleBeatIgnored(t *testing.T) {
 	}
 }
 
-func TestReplaceSpread(t *testing.T) {
-	load := []int{5, 1, 3, 2}
-	alive := []bool{true, true, true, false}
-	got, err := Replace(Spread, make([]bool, 4), load, alive, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Least-loaded among alive: 1(1), 1(2), 2(3→tie, lowest id 1? counts:
-	// after two on host1 it holds 3, tying host2; ties break low ID.
-	want := []int{1, 1, 1, 2}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Spread = %v, want %v", got, want)
-	}
-}
-
-func TestReplacePackSkipsDeadAndFull(t *testing.T) {
-	load := []int{1, 1, 0}
-	alive := []bool{true, false, true}
-	got, err := Replace(Pack, make([]bool, 3), load, alive, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Host 0 has one slot, host 1 is dead, host 2 takes the rest.
-	want := []int{0, 2, 2}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Pack = %v, want %v", got, want)
-	}
-}
-
-func TestReplacePriority(t *testing.T) {
-	load := []int{0, 0}
-	alive := []bool{true, true}
-	hi := []bool{true, false, false}
-	got, err := Replace(Priority, hi, load, alive, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Best-effort packed onto host 0 first; the hi orphan then spreads to
-	// the emptier host 1.
-	want := []int{1, 0, 0}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Priority = %v, want %v", got, want)
-	}
-}
-
-// TestReplaceFullClusterFailsLoudly is the control-plane edge the issue
-// calls out: re-placement onto a full surviving set must error, never
-// wrap around or overload a host.
-func TestReplaceFullClusterFailsLoudly(t *testing.T) {
-	load := []int{2, 2, 1}
-	alive := []bool{true, true, false} // the host with room is dead
-	_, err := Replace(Pack, make([]bool, 1), load, alive, 2)
-	if err == nil || !strings.Contains(err.Error(), "exceed surviving capacity") {
-		t.Fatalf("full cluster: got %v, want loud capacity error", err)
-	}
-	// One free slot, two orphans: still loud.
-	alive[2] = true
-	_, err = Replace(Spread, make([]bool, 2), load, alive, 2)
-	if err == nil || !strings.Contains(err.Error(), "exceed surviving capacity") {
-		t.Fatalf("over capacity by one: got %v, want loud capacity error", err)
-	}
-	// Exactly enough capacity succeeds.
-	if _, err := Replace(Spread, make([]bool, 1), load, alive, 2); err != nil {
-		t.Fatalf("exact fit rejected: %v", err)
-	}
-}
-
 func TestBackoffDelay(t *testing.T) {
 	b := Backoff{Base: 200 * sim.Microsecond, Max: 2 * sim.Millisecond}
 	want := []sim.Time{

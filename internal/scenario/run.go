@@ -1,9 +1,6 @@
 package scenario
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -221,7 +218,10 @@ func (p *Plan) runExperiment() (*Result, error) {
 		}
 		res.Experiment, res.Table = r, r.String()
 	case "cluster":
-		r := experiments.Cluster(pm, p.ClusterCfg)
+		r, err := experiments.Cluster(pm, p.ClusterCfg)
+		if err != nil {
+			return nil, err
+		}
 		res.Digests = map[string]string{}
 		for _, row := range r.Rows {
 			k := row.Placement
@@ -459,8 +459,7 @@ func (p *Plan) runCustom() (*Result, error) {
 		var injected, rescues uint64
 		for _, pl := range planes {
 			c := pl.Stats()
-			injected += c.Corrupted + c.LinkDropped + c.Jittered + c.OverrunDropped +
-				c.IRQsLost + c.IRQsSpurious + c.SoftirqStalls + c.ConsumerStalls
+			injected += c.Injected()
 			rescues += c.WatchdogRescues
 		}
 		m["faults_injected"] = float64(injected)
@@ -480,23 +479,11 @@ func (p *Plan) runCustom() (*Result, error) {
 		m["conservation_ok"] = 1
 	}
 
-	var regs []*obs.Registry
-	var streams [][]obs.Event
-	for _, pipe := range tb.Pipes {
-		if pipe == nil {
-			continue
-		}
-		regs = append(regs, pipe.M)
-		streams = append(streams, pipe.T.Events())
+	metrics, spans, err := obs.Digests(tb.Pipes...)
+	if err != nil {
+		return nil, err
 	}
-	if len(regs) > 0 {
-		res.Digests["metrics"] = digestBytes([]byte(obs.PrometheusText(obs.MergeRegistries(regs...))))
-		spans, err := json.Marshal(obs.MergeEvents(streams...))
-		if err != nil {
-			return nil, err
-		}
-		res.Digests["spans"] = digestBytes(spans)
-	}
+	res.Digests["metrics"], res.Digests["spans"] = metrics, spans
 	return res, nil
 }
 
@@ -510,82 +497,54 @@ func schedulePhases(eng *sim.Engine, g Group, base float64, set func(rate float6
 	}
 }
 
-// runCustomCluster runs a declared multi-host topology, mirroring the
-// cluster experiment's measurement pass.
+// runCustomCluster runs a declared multi-host topology through the
+// experiments' shared cluster pass; the scenario supplies only its metric
+// mapping and asks for strict conservation only when the file does.
 func (p *Plan) runCustomCluster() (*Result, error) {
-	s := p.Scenario
-	pm := p.Params
-	c, err := cluster.New(*p.ClusterRun)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.Run(pm.Duration, pm.Workers); err != nil {
-		return nil, err
-	}
-
 	res := &Result{Metrics: map[string]float64{}, Digests: map[string]string{}}
 	m := res.Metrics
-	hiH, loH := c.LatencyHists()
-	addSummary(m, "hi", hiH.Summarize())
-	addSummary(m, "lo", loH.Summarize())
-	hiSent, hiRecv, loSent, loRecv, _, floodRecv := c.FlowCounts()
-	m["hi_sent"], m["hi_recv"] = float64(hiSent), float64(hiRecv)
-	m["lo_sent"], m["lo_recv"] = float64(loSent), float64(loRecv)
-	m["flood_recv"] = float64(floodRecv)
-	m["admit_denied"] = float64(c.AdmissionDenied())
-	drops, shed := c.FabricDrops()
-	m["fabric_drops"], m["fabric_shed"] = float64(drops), float64(shed)
-	max, mean := c.FabricUtilization(c.Horizon())
-	m["fabric_util_max"], m["fabric_util_mean"] = max, mean
-	m["windows"] = float64(c.Group.Windows)
-	m["racks"] = float64(c.Cfg.Fabric.Racks)
-	if p.ClusterRun.Recovery != nil {
-		m["detections"] = float64(len(c.Detections()))
-		m["migrated"] = float64(len(c.Migrations()))
-		m["snapshot_version"] = float64(c.Snapshot().Version)
-		rx, tx := c.CrashDrops()
-		m["crash_dropped"] = float64(rx + tx)
-		m["epoch_dropped"] = float64(c.EpochDrops())
-		m["admit_retries"] = float64(c.RecoveryRetries())
-	}
-	if c.Cfg.Host.Fault != nil {
-		var injected uint64
-		for _, n := range c.Nodes {
-			st := n.Plane.Stats()
-			injected += st.Corrupted + st.LinkDropped + st.Jittered + st.OverrunDropped +
-				st.IRQsLost + st.IRQsSpurious + st.SoftirqStalls + st.ConsumerStalls +
-				st.HostCrashes
+	measure := func(c *cluster.Cluster) {
+		hiH, loH := c.LatencyHists()
+		addSummary(m, "hi", hiH.Summarize())
+		addSummary(m, "lo", loH.Summarize())
+		hiSent, hiRecv, loSent, loRecv, _, floodRecv := c.FlowCounts()
+		m["hi_sent"], m["hi_recv"] = float64(hiSent), float64(hiRecv)
+		m["lo_sent"], m["lo_recv"] = float64(loSent), float64(loRecv)
+		m["flood_recv"] = float64(floodRecv)
+		m["admit_denied"] = float64(c.AdmissionDenied())
+		drops, shed := c.FabricDrops()
+		m["fabric_drops"], m["fabric_shed"] = float64(drops), float64(shed)
+		max, mean := c.FabricUtilization(c.Horizon())
+		m["fabric_util_max"], m["fabric_util_mean"] = max, mean
+		m["windows"] = float64(c.Group.Windows)
+		m["racks"] = float64(c.Cfg.Fabric.Racks)
+		if c.Cfg.Recovery != nil {
+			m["detections"] = float64(len(c.Detections()))
+			m["migrated"] = float64(len(c.Migrations()))
+			m["snapshot_version"] = float64(c.Snapshot().Version)
+			rx, tx := c.CrashDrops()
+			m["crash_dropped"] = float64(rx + tx)
+			m["epoch_dropped"] = float64(c.EpochDrops())
+			m["admit_retries"] = float64(c.RecoveryRetries())
 		}
-		m["faults_injected"] = float64(injected)
+		if c.Cfg.Host.Fault != nil {
+			var injected uint64
+			for _, n := range c.Nodes {
+				injected += n.Plane.Stats().Injected()
+			}
+			m["faults_injected"] = float64(injected)
+		}
 	}
-
-	pipes := c.Pipes()
-	regs := make([]*obs.Registry, len(pipes))
-	streams := make([][]obs.Event, len(pipes))
-	for i, pipe := range pipes {
-		regs[i] = pipe.M
-		streams[i] = pipe.T.Events()
-	}
-	res.Digests["metrics"] = digestBytes([]byte(obs.PrometheusText(obs.MergeRegistries(regs...))))
-	spans, err := json.Marshal(obs.MergeEvents(streams...))
+	conserve := p.Scenario.Conservation
+	metrics, spans, err := experiments.RunCluster(p.Params, *p.ClusterRun, experiments.ClusterRun{
+		Label: p.Kind, Strict: conserve, Measure: measure,
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
-	res.Digests["spans"] = digestBytes(spans)
-
-	if err := c.Settle(0, pm.Workers); err != nil {
-		return nil, err
-	}
-	if err := c.CheckInvariants(s.Conservation); err != nil {
-		return nil, fmt.Errorf("scenario: conservation check failed: %w", err)
-	}
-	if s.Conservation {
+	res.Digests["metrics"], res.Digests["spans"] = metrics, spans
+	if conserve {
 		m["conservation_ok"] = 1
 	}
 	return res, nil
-}
-
-func digestBytes(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
 }
