@@ -11,9 +11,12 @@ import (
 	"prism/internal/cpu"
 	"prism/internal/experiments"
 	"prism/internal/nic"
+	"prism/internal/obs"
 	"prism/internal/overlay"
 	"prism/internal/prio"
 	"prism/internal/sim"
+	"prism/internal/testbed"
+	"prism/internal/traffic"
 )
 
 // newBenchHost builds a vanilla-mode host with the standard experiment NIC
@@ -30,6 +33,32 @@ func newBenchHost(eng *sim.Engine, gro bool) *overlay.Host {
 			GRO:          gro,
 		},
 	})
+}
+
+// newFloodRig builds the saturated-flood host of BenchmarkSoftirqPoll and
+// the zero-alloc gates — one sink container whose port is marked high
+// priority, fed a 600 kpps background flood from t=0 — on the experiment
+// testbed, with pipe attached to the whole receive path (nil: unobserved).
+func newFloodRig(mode prio.Mode, pipe *obs.Pipeline) (*testbed.Testbed, *traffic.UDPFlood) {
+	p := experiments.Default()
+	p.Seed = 3
+	tb := experiments.NewTestbed(p, mode, testbed.Monolithic, experiments.WithObs(pipe))
+	h := tb.Host()
+	srv := h.AddContainer("sink")
+	h.DB.Add(prio.Rule{IP: srv.IP, Port: 11111})
+	fl := traffic.NewUDPFlood(tb.Eng, h, srv, benchClient(0), 11111, 600_000)
+	if err := fl.InstallSink(600 * sim.Nanosecond); err != nil {
+		panic(err)
+	}
+	fl.Start(0)
+	return tb, fl
+}
+
+// runFor advances tb's engine by d of virtual time.
+func runFor(tb *testbed.Testbed, d sim.Time) {
+	if err := tb.Eng.Run(tb.Eng.Now() + d); err != nil {
+		panic(err)
+	}
 }
 
 // benchClient returns a client-side endpoint for background flows.

@@ -16,6 +16,7 @@ import (
 	"prism"
 	"prism/internal/cluster"
 	"prism/internal/experiments"
+	"prism/internal/obs"
 	"prism/internal/prio"
 	"prism/internal/sim"
 	"prism/internal/traffic"
@@ -257,6 +258,44 @@ func BenchmarkSoftirqPoll(b *testing.B) {
 				b.Fatal("poll loop delivered nothing")
 			}
 			record(b, float64(fl.Delivered())/float64(b.N), nil)
+		})
+	}
+}
+
+// BenchmarkObsOverhead prices leaving observability on: the prism-sync
+// flood of BenchmarkSoftirqPoll with no pipeline ("off") and with an
+// obs.Pipeline recording every span, delivery and drop of the receive path
+// ("on"). Each iteration simulates 1ms; "on" reports its ns/op as a
+// multiple of "off"'s as on/off-ns-ratio.
+func BenchmarkObsOverhead(b *testing.B) {
+	var offNs float64
+	for _, on := range []bool{false, true} {
+		name := "off"
+		if on {
+			name = "on"
+		}
+		b.Run(name, func(b *testing.B) {
+			var pipe *obs.Pipeline
+			if on {
+				pipe = obs.NewPipeline("bench")
+			}
+			tb, fl := newFloodRig(prio.ModeSync, pipe)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				runFor(tb, sim.Millisecond)
+			}
+			b.StopTimer()
+			if fl.Delivered.Count() == 0 {
+				b.Fatal("flood delivered nothing")
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			var metrics map[string]float64
+			if !on {
+				offNs = ns
+			} else if offNs > 0 {
+				metrics = map[string]float64{"on/off-ns-ratio": ns / offNs}
+			}
+			record(b, float64(fl.Delivered.Count())/float64(b.N), metrics)
 		})
 	}
 }

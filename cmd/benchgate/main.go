@@ -25,10 +25,11 @@ import (
 )
 
 // gatedBenchRegex selects the regression-gated benchmarks: the pooled
-// softirq hot path, the burst ablation, the cluster sweep, and the event
-// queue microbenchmarks guarding the timing wheel. This is the single
-// source of truth — the CI bench job runs exactly this set.
-const gatedBenchRegex = "BenchmarkSoftirqPoll|BenchmarkAblationBurst|BenchmarkClusterSweep|BenchmarkEventQueue"
+// softirq hot path, the burst ablation, the cluster sweep, the event
+// queue microbenchmarks guarding the timing wheel, and the observed vs
+// unobserved flood pricing the obs pipeline. This is the single source of
+// truth — the CI bench job runs exactly this set.
+const gatedBenchRegex = "BenchmarkSoftirqPoll|BenchmarkAblationBurst|BenchmarkClusterSweep|BenchmarkEventQueue|BenchmarkObsOverhead"
 
 type record struct {
 	Name    string  `json:"name"`

@@ -112,6 +112,9 @@ type Port struct {
 	// utilization report.
 	busyNs   sim.Time
 	winStart sim.Time
+
+	// obs is the port's handle in its switch's pipeline.
+	obs *obs.Dev
 }
 
 func (p *Port) depth() int { return len(p.hi) + len(p.lo) }
@@ -156,6 +159,9 @@ type Switch struct {
 	RxFrames   uint64
 	Unroutable uint64
 	seq        uint64
+
+	// obs is the switch's own handle in Pipe (unroutable drops).
+	obs *obs.Dev
 }
 
 func newSwitch(g *par.Group, name string, seed uint64, latency sim.Time, cfg FabricConfig, snap *atomic.Pointer[Snapshot]) *Switch {
@@ -166,13 +172,14 @@ func newSwitch(g *par.Group, name string, seed uint64, latency sim.Time, cfg Fab
 		latency: latency,
 		snap:    snap,
 	}
+	sw.obs = sw.Pipe.Dev(name)
 	sw.Shard = g.Add(name, sim.NewEngine(seed))
 	return sw
 }
 
 // addPort attaches an egress link to the switch.
 func (s *Switch) addPort(name string, link *par.Link, prop sim.Time) *Port {
-	p := &Port{Name: name, link: link, prop: prop, cap: s.cfg.QueueCap}
+	p := &Port{Name: name, link: link, prop: prop, cap: s.cfg.QueueCap, obs: s.Pipe.Dev(name)}
 	s.Ports = append(s.Ports, p)
 	return p
 }
@@ -203,7 +210,7 @@ func (s *Switch) Receive(at sim.Time, frame []byte) {
 	rt, ok := classify(s.snap.Load(), frame)
 	if !ok {
 		s.Unroutable++
-		s.Pipe.FabricDrop(at, s.Name, "unroutable", 0)
+		s.obs.FabricDrop(at, "unroutable", 0)
 		return
 	}
 	s.enqueue(at, s.portFor(rt), queued{frame: frame, hi: rt.Hi, arrived: at})
@@ -217,7 +224,7 @@ func (s *Switch) enqueue(now sim.Time, p *Port, q queued) {
 	if p.down {
 		p.Dropped++
 		p.DownDropped++
-		s.Pipe.FabricDrop(now, p.Name, "link-down", prio)
+		p.obs.FabricDrop(now, "link-down", prio)
 		return
 	}
 	if p.depth() >= p.cap {
@@ -228,10 +235,10 @@ func (s *Switch) enqueue(now sim.Time, p *Port, q queued) {
 			p.lo = p.lo[:len(p.lo)-1]
 			p.ShedLo++
 			p.Dropped++
-			s.Pipe.FabricDrop(now, p.Name, "shed", 0)
+			p.obs.FabricDrop(now, "shed", 0)
 		} else {
 			p.Dropped++
-			s.Pipe.FabricDrop(now, p.Name, "queue-full", prio)
+			p.obs.FabricDrop(now, "queue-full", prio)
 			return
 		}
 	}
@@ -267,7 +274,7 @@ func (s *Switch) finishTx(done sim.Time, p *Port, q queued) {
 	if q.hi {
 		prio = 1
 	}
-	s.Pipe.Fabric(p.Name, s.seq, prio, q.arrived, done)
+	p.obs.Fabric(s.seq, prio, q.arrived, done)
 	s.seq++
 	p.link.Send(done, p.prop, q.frame)
 	p.Forwarded++
@@ -295,10 +302,10 @@ func (s *Switch) setPortDown(now sim.Time, p *Port, down bool) {
 	}
 	flushed := p.depth()
 	for i := 0; i < len(p.hi); i++ {
-		s.Pipe.FabricDrop(now, p.Name, "link-down", 1)
+		p.obs.FabricDrop(now, "link-down", 1)
 	}
 	for i := 0; i < len(p.lo); i++ {
-		s.Pipe.FabricDrop(now, p.Name, "link-down", 0)
+		p.obs.FabricDrop(now, "link-down", 0)
 	}
 	p.hi, p.lo = p.hi[:0], p.lo[:0]
 	p.Dropped += uint64(flushed)

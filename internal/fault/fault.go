@@ -203,7 +203,11 @@ type Plane struct {
 	cfg Config
 	eng *sim.Engine
 	rng *sim.RNG
-	obs *obs.Pipeline
+	// obs is the pipeline-wide handle injections are counted on; obsDevs
+	// caches the device handles drops are counted on (the wire and each
+	// NIC ring — a handful), found by a short scan.
+	obs     *obs.Dev
+	obsDevs []*obs.Dev
 
 	// linkDownUntil is the current flap window's end; overrunLeft counts
 	// the remaining rejections of the current overrun burst.
@@ -291,7 +295,8 @@ func (p *Plane) SetObs(pipe *obs.Pipeline) {
 	if p == nil {
 		return
 	}
-	p.obs = pipe
+	p.obs = pipe.Root()
+	p.obsDevs = nil
 }
 
 // Config returns the plane's effective configuration (defaults applied).
@@ -387,7 +392,7 @@ func (p *Plane) injected(class string) {
 	if p.obs == nil {
 		return
 	}
-	p.obs.M.Counter("prism_fault_injected_total", obs.Labels{Stage: class, Shard: p.obs.Shard}).Add(1)
+	p.obs.FaultInjected(class)
 }
 
 // dropped exports one fault-induced frame drop with its reason.
@@ -395,7 +400,15 @@ func (p *Plane) dropped(dev, reason string) {
 	if p.obs == nil {
 		return
 	}
-	p.obs.M.Counter("prism_fault_drops_total", obs.Labels{Device: dev, Stage: reason, Shard: p.obs.Shard}).Add(1)
+	for _, d := range p.obsDevs {
+		if d.Name() == dev {
+			d.FaultDrop(reason)
+			return
+		}
+	}
+	d := p.obs.Pipeline().Dev(dev)
+	p.obsDevs = append(p.obsDevs, d)
+	d.FaultDrop(reason)
 }
 
 // WireRx is the overlay's receive hook, called for every frame arriving

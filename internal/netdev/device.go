@@ -3,6 +3,7 @@ package netdev
 import (
 	"fmt"
 
+	"prism/internal/obs"
 	"prism/internal/pkt"
 	"prism/internal/sim"
 )
@@ -136,6 +137,11 @@ type Device struct {
 	// processed through this device's handler.
 	Polls     uint64
 	Processed uint64
+
+	// Obs is the device's handle in the observability pipeline of the
+	// engine polling it, resolved by that engine on first use; nil while
+	// unobserved.
+	Obs *obs.Dev
 }
 
 // NewDevice returns a device with the given queue capacities.

@@ -118,7 +118,7 @@ type NIC struct {
 	nextID uint64
 
 	// obs, when set, records frame DMA and interrupt instants.
-	obs *obs.Pipeline
+	obs *obs.Dev
 	// fault, when set, injects DMA overruns and interrupt loss; nil-safe
 	// hooks make the unfaulted path identical to a plane-less build.
 	fault *fault.Plane
@@ -161,7 +161,7 @@ func New(eng *sim.Engine, sched netdev.Scheduler, costs *netdev.Costs, db *prio.
 func (n *NIC) AttachBridge(br *netdev.Device) { n.bridge = br }
 
 // SetObs installs the observability pipeline (nil disables collection).
-func (n *NIC) SetObs(p *obs.Pipeline) { n.obs = p }
+func (n *NIC) SetObs(p *obs.Pipeline) { n.obs = p.Dev(n.Dev.Name) }
 
 // SetFault installs the fault plane (nil disables injection).
 func (n *NIC) SetFault(p *fault.Plane) { n.fault = p }
@@ -214,7 +214,7 @@ func (n *NIC) DMA(now sim.Time, frame []byte) {
 				if victim := n.Dev.LowQ.EvictLowPrio(); victim != nil {
 					n.ShedDrops++
 					if n.obs != nil {
-						n.obs.Drop(now, n.Dev.Name, obs.StageShed, victim.ID, victim.Priority)
+						n.obs.Drop(now, obs.StageShed, victim.ID, victim.Priority)
 					}
 					victim.Free()
 				}
@@ -225,14 +225,14 @@ func (n *NIC) DMA(now sim.Time, frame []byte) {
 	if !enqueued {
 		// Ring overrun; drop counted by the queue.
 		if n.obs != nil {
-			n.obs.Drop(now, n.Dev.Name, obs.StageDMA, skb.ID, skb.Priority)
+			n.obs.Drop(now, obs.StageDMA, skb.ID, skb.Priority)
 		}
 		skb.Free()
 		return
 	}
 	n.DMAd++
 	if n.obs != nil {
-		n.obs.DMA(now, n.Dev.Name, skb.ID, skb.Priority)
+		n.obs.DMA(now, skb.ID, skb.Priority)
 	}
 	if highRing && !n.Dev.InPollList {
 		// High-ring packets interrupt immediately, bypassing moderation.
@@ -336,7 +336,7 @@ func (n *NIC) raise(now sim.Time, high bool) {
 	n.IRQs++
 	n.lastIRQ = now
 	if n.obs != nil {
-		n.obs.IRQ(now, n.Dev.Name)
+		n.obs.IRQ(now)
 	}
 	n.sched.NotifyArrival(n.Dev, high)
 }

@@ -15,9 +15,13 @@
 // A Pipeline bundles one Tracer (bounded span stream) and one Registry
 // (labeled counters/gauges/histograms) for one collection domain — a
 // single engine instance: one host, one shard, or one mode run. All
-// instrumentation points (internal/nic, internal/napi, internal/core,
-// internal/bridge, internal/veth, internal/socket) hold an optional
-// *Pipeline and are zero-cost when it is nil.
+// instrumentation points (internal/nic, internal/softirq, internal/socket,
+// the internal/cluster fabric, internal/fault) record through a
+// per-device handle (Dev, from Pipeline.Dev) and are zero-cost when it is
+// nil. A handle resolves each of its series from the Registry on first
+// use and caches it, so the per-packet path indexes a slice instead of
+// hashing a registry key, while the registry's contents — and so every
+// export — are the same as if each event had called the Registry.
 //
 // # Determinism under sharding
 //
@@ -93,9 +97,13 @@ func (e Event) Duration() sim.Time { return e.End - e.Start }
 // Pipeline is the per-engine-instance observability bundle: a Tracer for
 // the span stream and a Registry for metrics, plus the per-packet cursor
 // that turns lifecycle events into stage wait/service decompositions.
+// Recording goes through per-device handles (Dev), resolved once by each
+// instrumentation point.
 type Pipeline struct {
 	// Shard labels every metric this pipeline records; it identifies the
-	// collection domain (RSS shard, mode run) in merged exports.
+	// collection domain (RSS shard, mode run) in merged exports. Set it
+	// before recording: handles cache series with the label they were
+	// first resolved under.
 	Shard string
 
 	T *Tracer
@@ -107,76 +115,25 @@ type Pipeline struct {
 	// is bounded by the number of packets in flight (itself bounded by
 	// the device queue capacities).
 	lastAt map[uint64]sim.Time
+
+	// devs holds the handle of every device resolved so far; root is the
+	// device-less handle (end-to-end latency, fault injections).
+	devs map[string]*Dev
+	root *Dev
 }
 
 // NewPipeline returns a pipeline labeled with the given shard name, with
 // a default-capacity tracer and an empty registry.
 func NewPipeline(shard string) *Pipeline {
-	return &Pipeline{
+	p := &Pipeline{
 		Shard:  shard,
 		T:      NewTracer(0),
 		M:      NewRegistry(),
 		lastAt: make(map[uint64]sim.Time),
+		devs:   make(map[string]*Dev),
 	}
-}
-
-// DMA records a frame entering the RX descriptor ring. It opens the
-// packet's lifecycle: the gap to the first stage span is the ring wait.
-func (p *Pipeline) DMA(now sim.Time, dev string, pkt uint64, prio int) {
-	p.T.add(Event{Kind: KindInstant, Stage: StageDMA, Device: dev, Pkt: pkt, Priority: prio, Start: now, End: now})
-	p.M.Counter("prism_dma_frames_total", Labels{Device: dev, Stage: StageDMA, Shard: p.Shard}).Add(1)
-	p.lastAt[pkt] = now
-}
-
-// IRQ records a hardware interrupt raised by a device.
-func (p *Pipeline) IRQ(now sim.Time, dev string) {
-	p.T.add(Event{Kind: KindInstant, Stage: StageIRQ, Device: dev, Pkt: NoPacket, Start: now, End: now})
-	p.M.Counter("prism_irqs_total", Labels{Device: dev, Stage: StageIRQ, Shard: p.Shard}).Add(1)
-}
-
-// Span records one stage processing one packet over [start, end]. The
-// wait histogram receives the gap since the packet's previous lifecycle
-// event (its time queued before this stage); the service histogram
-// receives the span length.
-func (p *Pipeline) Span(dev, stage string, pkt uint64, prio int, start, end sim.Time) {
-	p.T.add(Event{Kind: KindSpan, Stage: stage, Device: dev, Pkt: pkt, Priority: prio, Start: start, End: end})
-	l := Labels{Device: dev, Stage: stage, Priority: prio, Shard: p.Shard}
-	p.M.Counter("prism_stage_packets_total", l).Add(1)
-	p.M.Histogram("prism_stage_service_ns", l).Observe(end - start)
-	if last, ok := p.lastAt[pkt]; ok {
-		p.M.Histogram("prism_stage_wait_ns", l).Observe(start - last)
-	}
-	p.lastAt[pkt] = end
-}
-
-// Deliver records the payload reaching a socket buffer at time now, and
-// closes the packet's lifecycle. arrived is the packet's NIC-ring entry
-// time; the difference feeds the end-to-end latency histogram.
-func (p *Pipeline) Deliver(now sim.Time, dev string, pkt uint64, prio int, arrived sim.Time) {
-	p.T.add(Event{Kind: KindInstant, Stage: StageSocket, Device: dev, Pkt: pkt, Priority: prio, Start: now, End: now})
-	l := Labels{Device: dev, Stage: StageSocket, Priority: prio, Shard: p.Shard}
-	p.M.Counter("prism_delivered_total", l).Add(1)
-	if last, ok := p.lastAt[pkt]; ok {
-		p.M.Histogram("prism_stage_wait_ns", l).Observe(now - last)
-	}
-	p.M.Histogram("prism_e2e_latency_ns", Labels{Priority: prio, Shard: p.Shard}).Observe(now - arrived)
-	delete(p.lastAt, pkt)
-}
-
-// Drop records a packet discarded at a stage (handler verdict, queue
-// overrun, rcvbuf overflow) and closes its lifecycle.
-func (p *Pipeline) Drop(now sim.Time, dev, stage string, pkt uint64, prio int) {
-	p.T.add(Event{Kind: KindInstant, Stage: StageDrop, Device: dev, Pkt: pkt, Priority: prio, Start: now, End: now})
-	p.M.Counter("prism_dropped_total", Labels{Device: dev, Stage: stage, Priority: prio, Shard: p.Shard}).Add(1)
-	delete(p.lastAt, pkt)
-}
-
-// Absorbed records a frame merged into an earlier SKB by GRO; the frame's
-// own lifecycle ends here (the super-SKB carries on).
-func (p *Pipeline) Absorbed(now sim.Time, dev string, pkt uint64, prio int) {
-	p.T.add(Event{Kind: KindInstant, Stage: StageGRO, Device: dev, Pkt: pkt, Priority: prio, Start: now, End: now})
-	p.M.Counter("prism_gro_absorbed_total", Labels{Device: dev, Stage: StageGRO, Shard: p.Shard}).Add(1)
-	delete(p.lastAt, pkt)
+	p.root = p.Dev("")
+	return p
 }
 
 // InFlight reports how many packets have an open lifecycle (diagnostic).
@@ -185,28 +142,6 @@ func (p *Pipeline) InFlight() int { return len(p.lastAt) }
 // StageFabric is the datacenter fabric forwarding stage: a ToR or spine
 // switch carrying a frame between hosts (internal/cluster).
 const StageFabric = "fabric"
-
-// Fabric records one switch forwarding a frame over [start, end] — egress
-// queue wait plus serialization onto the output link. Unlike Span it does
-// not touch the per-packet wait cursor: fabric packet IDs are switch-local
-// sequence numbers, not host SKB identities, and a fabric frame never
-// reaches Deliver on this pipeline, so threading it through lastAt would
-// leak an entry per frame.
-func (p *Pipeline) Fabric(dev string, pkt uint64, prio int, start, end sim.Time) {
-	p.T.add(Event{Kind: KindSpan, Stage: StageFabric, Device: dev, Pkt: pkt, Priority: prio, Start: start, End: end})
-	l := Labels{Device: dev, Stage: StageFabric, Priority: prio, Shard: p.Shard}
-	p.M.Counter("prism_fabric_frames_total", l).Add(1)
-	p.M.Histogram("prism_fabric_residency_ns", l).Observe(end - start)
-}
-
-// FabricDrop records a frame the fabric discarded — egress queue overflow,
-// a low-priority victim evicted for a high-priority frame, or no route in
-// the control-plane snapshot. reason becomes the stage label so drop
-// causes stay separable in merged exports.
-func (p *Pipeline) FabricDrop(now sim.Time, dev, reason string, prio int) {
-	p.T.add(Event{Kind: KindInstant, Stage: StageDrop, Device: dev, Pkt: NoPacket, Priority: prio, Start: now, End: now})
-	p.M.Counter("prism_fabric_dropped_total", Labels{Device: dev, Stage: reason, Priority: prio, Shard: p.Shard}).Add(1)
-}
 
 // DefaultTracerCap bounds the span ring buffer: 64 Ki events is a few MB
 // and several full softirq bursts of context.

@@ -13,11 +13,11 @@ func TestPipelineLifecycle(t *testing.T) {
 	p := NewPipeline("s0")
 	// Packet 7: DMA at 100, NIC span [150, 180], bridge span [200, 220],
 	// delivered at 250.
-	p.DMA(100, "eth0", 7, 1)
-	p.IRQ(110, "eth0")
-	p.Span("eth0", StageNIC, 7, 1, 150, 180)
-	p.Span("br0", StageBridge, 7, 1, 200, 220)
-	p.Deliver(250, "c0", 7, 1, 100)
+	p.Dev("eth0").DMA(100, 7, 1)
+	p.Dev("eth0").IRQ(110)
+	p.Dev("eth0").Span(StageNIC, 7, 1, 150, 180)
+	p.Dev("br0").Span(StageBridge, 7, 1, 200, 220)
+	p.Dev("c0").Deliver(250, 7, 1, 100)
 
 	if got := p.M.CounterValue("prism_dma_frames_total", Labels{}); got != 1 {
 		t.Errorf("dma counter = %d, want 1", got)
@@ -54,10 +54,10 @@ func TestPipelineLifecycle(t *testing.T) {
 
 func TestPipelineDropAndAbsorb(t *testing.T) {
 	p := NewPipeline("")
-	p.DMA(10, "eth0", 1, 0)
-	p.Drop(20, "eth0", StageNIC, 1, 0)
-	p.DMA(30, "eth0", 2, 0)
-	p.Absorbed(40, "eth0", 2, 0)
+	p.Dev("eth0").DMA(10, 1, 0)
+	p.Dev("eth0").Drop(20, StageNIC, 1, 0)
+	p.Dev("eth0").DMA(30, 2, 0)
+	p.Dev("eth0").Absorbed(40, 2, 0)
 	if p.InFlight() != 0 {
 		t.Errorf("in-flight = %d, want 0", p.InFlight())
 	}
@@ -215,9 +215,9 @@ func TestMetricsJSONValid(t *testing.T) {
 
 func TestChromeTraceValid(t *testing.T) {
 	p := NewPipeline("vanilla")
-	p.DMA(1000, "eth0", 0, 1)
-	p.Span("eth0", StageNIC, 0, 1, 2000, 3500)
-	p.Deliver(5000, "c0", 0, 1, 1000)
+	p.Dev("eth0").DMA(1000, 0, 1)
+	p.Dev("eth0").Span(StageNIC, 0, 1, 2000, 3500)
+	p.Dev("c0").Deliver(5000, 0, 1, 1000)
 	b, err := ChromeTrace(TraceProcess{Name: "vanilla", Events: p.T.Events()})
 	if err != nil {
 		t.Fatal(err)
@@ -253,10 +253,10 @@ func TestStageBreakdown(t *testing.T) {
 	// Two packets through nic and bridge with known waits/services.
 	for pkt := uint64(0); pkt < 2; pkt++ {
 		base := sim.Time(pkt) * 1000
-		p.DMA(base, "eth0", pkt, 0)
-		p.Span("eth0", StageNIC, pkt, 0, base+100, base+150)   // wait 100, svc 50
-		p.Span("br0", StageBridge, pkt, 0, base+200, base+220) // wait 50, svc 20
-		p.Deliver(base+300, "c0", pkt, 0, base)
+		p.Dev("eth0").DMA(base, pkt, 0)
+		p.Dev("eth0").Span(StageNIC, pkt, 0, base+100, base+150)   // wait 100, svc 50
+		p.Dev("br0").Span(StageBridge, pkt, 0, base+200, base+220) // wait 50, svc 20
+		p.Dev("c0").Deliver(base+300, pkt, 0, base)
 	}
 	rows := StageBreakdown(p.M)
 	if len(rows) != 3 { // nic, bridge, socket (wait only)
@@ -293,5 +293,107 @@ func TestCounterValueFilter(t *testing.T) {
 	}
 	if got := r.CounterValue("x", Labels{Priority: 1}); got != 3 {
 		t.Errorf("priority=1 = %d, want 3", got)
+	}
+}
+
+// TestDevResolvesSeriesOnFirstUse: resolving a handle creates nothing, and
+// each event creates exactly the series a direct registry call would have —
+// a wait histogram only once the packet has a previous lifecycle event.
+func TestDevResolvesSeriesOnFirstUse(t *testing.T) {
+	p := NewPipeline("s0")
+	eth, br := p.Dev("eth0"), p.Dev("br0")
+	if p.Dev("eth0") != eth {
+		t.Fatal("Dev returned a second handle for the same device")
+	}
+	if len(p.M.counters)+len(p.M.hists) != 0 {
+		t.Fatalf("resolving handles created %d series", len(p.M.counters)+len(p.M.hists))
+	}
+	br.Span(StageBridge, 9, 1, 10, 20) // no DMA: no wait sample
+	wait := Labels{Device: "br0", Stage: StageBridge, Priority: 1, Shard: "s0"}
+	if _, ok := p.M.hists[metricKey{"prism_stage_wait_ns", wait}]; ok {
+		t.Error("span without a previous event created a wait histogram")
+	}
+	eth.DMA(30, 10, 1)
+	br.Span(StageBridge, 10, 1, 40, 45)
+	if h := p.M.hists[metricKey{"prism_stage_wait_ns", wait}]; h == nil || h.Hist().Count() != 1 {
+		t.Error("span after DMA did not record one wait sample")
+	}
+	if got := p.M.CounterValue("prism_stage_packets_total", Labels{Device: "br0"}); got != 2 {
+		t.Errorf("br0 packets = %d, want 2", got)
+	}
+	if got := p.M.CounterValue("prism_dma_frames_total", Labels{}); got != 1 {
+		t.Errorf("dma frames = %d, want 1", got)
+	}
+	// The handle keeps the registry's own children, so later events index
+	// its cache instead of looking the key up again.
+	s := br.at(StageBridge, 1)
+	if s.packets != p.M.counters[metricKey{"prism_stage_packets_total", wait}] ||
+		s.wait != p.M.hists[metricKey{"prism_stage_wait_ns", wait}] {
+		t.Error("handle does not cache the series it resolved")
+	}
+}
+
+// TestDevOutOfRangePriority: priorities outside the cached range still
+// land in their own series.
+func TestDevOutOfRangePriority(t *testing.T) {
+	p := NewPipeline("")
+	d := p.Dev("eth0")
+	for _, prio := range []int{-1, 0, maxCachedPrio, maxCachedPrio + 1, 1000, 1000} {
+		d.Drop(0, StageDMA, 1, prio)
+	}
+	for prio, want := range map[int]uint64{-1: 1, 0: 1, maxCachedPrio: 1, maxCachedPrio + 1: 1, 1000: 2} {
+		k := metricKey{"prism_dropped_total", Labels{Device: "eth0", Stage: StageDMA, Priority: prio}}
+		if c := p.M.counters[k]; c == nil || c.Value() != want {
+			t.Errorf("priority %d: counter %v, want %d", prio, c, want)
+		}
+	}
+}
+
+// TestDevZeroAllocAfterFirstUse: once a handle has resolved its series and
+// the span ring has filled, a full packet lifecycle does not allocate.
+func TestDevZeroAllocAfterFirstUse(t *testing.T) {
+	p := NewPipeline("s0")
+	lifecycle := lifecycleOn(p)
+	for i := 0; i < DefaultTracerCap; i++ {
+		lifecycle()
+	}
+	if n := testing.AllocsPerRun(1000, lifecycle); n != 0 {
+		t.Errorf("packet lifecycle allocates %.1f times after warmup", n)
+	}
+}
+
+// lifecycleOn returns a function recording one packet's full receive
+// lifecycle (DMA, three stage spans, delivery) on p through pre-resolved
+// handles.
+func lifecycleOn(p *Pipeline) func() {
+	eth, br, veth, sock := p.Dev("eth0"), p.Dev("br0"), p.Dev("veth0"), p.Dev("c0")
+	var pkt uint64
+	var now sim.Time
+	return func() {
+		pkt++
+		now += 1000
+		eth.DMA(now, pkt, 1)
+		eth.Span(StageNIC, pkt, 1, now+100, now+150)
+		br.Span(StageBridge, pkt, 1, now+200, now+220)
+		veth.Span(StageVeth, pkt, 1, now+300, now+340)
+		sock.Deliver(now+400, pkt, 1, now)
+	}
+}
+
+// BenchmarkObsSpan is the per-layer cost of one observed stage span on a
+// pre-resolved handle: tracer append, packet counter, service and wait
+// histograms, wait-cursor update. The handle and span ring are warmed
+// before timing, so it reports 0 allocs/op.
+func BenchmarkObsSpan(b *testing.B) {
+	p := NewPipeline("s0")
+	br := p.Dev("br0")
+	for i := 0; i < DefaultTracerCap; i++ {
+		br.Span(StageBridge, 1, 1, sim.Time(i), sim.Time(i)+20)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := sim.Time(i) * 100
+		br.Span(StageBridge, 1, 1, t, t+20)
 	}
 }

@@ -93,6 +93,8 @@ func NewRegistry() *Registry {
 }
 
 // Counter returns (creating on first use) the counter for (name, labels).
+// It hashes the full key, so the per-packet path never calls it directly:
+// Dev handles call it once per series and cache the result.
 func (r *Registry) Counter(name string, l Labels) *Counter {
 	k := metricKey{name: name, labels: l}
 	c, ok := r.counters[k]

@@ -199,11 +199,11 @@ func TestStreamerExactlyOnce(t *testing.T) {
 	sink := &recordingSink{}
 	st := NewStreamer(sink, p0, p1)
 
-	p0.DMA(10, "eth0", 1, 1)
-	p1.DMA(10, "eth1", 2, 0)
+	p0.Dev("eth0").DMA(10, 1, 1)
+	p1.Dev("eth1").DMA(10, 2, 0)
 	st.Checkpoint(20)
 
-	p0.Span("eth0", StageNIC, 1, 1, 30, 40)
+	p0.Dev("eth0").Span(StageNIC, 1, 1, 30, 40)
 	st.Checkpoint(50)
 	st.Checkpoint(60) // no new events
 
@@ -279,9 +279,9 @@ func TestChromeStreamNDJSON(t *testing.T) {
 // pipeline order — and checks that nil pipelines are skipped.
 func TestDigests(t *testing.T) {
 	p0, p1 := NewPipeline("s0"), NewPipeline("s1")
-	p0.DMA(10, "eth0", 1, 1)
-	p1.DMA(10, "eth1", 2, 0)
-	p0.Span("eth0", StageNIC, 1, 1, 30, 40)
+	p0.Dev("eth0").DMA(10, 1, 1)
+	p1.Dev("eth1").DMA(10, 2, 0)
+	p0.Dev("eth0").Span(StageNIC, 1, 1, 30, 40)
 
 	metrics, spans, err := Digests(p0, nil, p1)
 	if err != nil {

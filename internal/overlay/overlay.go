@@ -203,7 +203,7 @@ func NewHost(eng *sim.Engine, cfg Config) *Host {
 	h.Fault = cfg.Fault
 
 	h.HostSockets = socket.NewTable("host")
-	h.HostSockets.Obs = cfg.Obs
+	h.HostSockets.SetObs(cfg.Obs)
 	h.HostThread = sched.NewThread("host-app", eng, cpu.NewCore(h.allocCore(), cfg.AppCStates), cfg.Costs.AppWakeup)
 	cfg.Fault.WatchConsumer(h.HostThread)
 
@@ -294,7 +294,7 @@ func (h *Host) AddContainer(name string) *Container {
 		host: h,
 	}
 	c.Sockets = socket.NewTable(name)
-	c.Sockets.Obs = h.cfg.Obs
+	c.Sockets.SetObs(h.cfg.Obs)
 	c.Core = cpu.NewCore(h.allocCore(), h.cfg.AppCStates)
 	c.Thread = sched.NewThread(name+"-app", h.Eng, c.Core, h.Costs.AppWakeup)
 	h.cfg.Fault.WatchConsumer(c.Thread)

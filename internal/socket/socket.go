@@ -95,13 +95,13 @@ func (s *Socket) DeliverSKB(at sim.Time, skb *pkt.SKB) {
 	f := skb.TakeFrame()
 	skb.Free()
 	ok := s.push(at, m, f)
-	if s.tbl == nil || s.tbl.Obs == nil {
+	if s.tbl == nil || s.tbl.obs == nil {
 		return
 	}
 	if ok {
-		s.tbl.Obs.Deliver(at, s.tbl.Name, id, prio, m.Arrived)
+		s.tbl.obs.Deliver(at, id, prio, m.Arrived)
 	} else {
-		s.tbl.Obs.Drop(at, s.tbl.Name, obs.StageSocket, id, prio)
+		s.tbl.obs.Drop(at, obs.StageSocket, id, prio)
 	}
 }
 
@@ -164,10 +164,14 @@ type Table struct {
 	Name  string
 	socks []*Socket
 
-	// Obs, when set, records socket deliveries (closing each packet's
+	// obs, when set, records socket deliveries (closing each packet's
 	// lifecycle span stream) and rcvbuf-overflow drops.
-	Obs *obs.Pipeline
+	obs *obs.Dev
 }
+
+// SetObs installs the observability pipeline, resolving the table's
+// handle in it (nil disables collection).
+func (t *Table) SetObs(p *obs.Pipeline) { t.obs = p.Dev(t.Name) }
 
 // NewTable returns an empty socket table.
 func NewTable(name string) *Table {

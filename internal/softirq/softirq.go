@@ -187,6 +187,16 @@ func (e *Engine) SetOnPoll(fn func(PollObservation)) { e.OnPoll = fn }
 // SetObs installs the observability pipeline (nil disables collection).
 func (e *Engine) SetObs(p *obs.Pipeline) { e.obs = p }
 
+// devObs returns dev's handle in the engine's pipeline, resolving it on
+// the device's first observed event (or if the device was last observed
+// by another pipeline).
+func (e *Engine) devObs(dev *netdev.Device) *obs.Dev {
+	if dev.Obs == nil || dev.Obs.Pipeline() != e.obs {
+		dev.Obs = e.obs.Dev(dev.Name)
+	}
+	return dev.Obs
+}
+
 // SetFault installs the fault plane (nil disables injection).
 func (e *Engine) SetFault(p *fault.Plane) { e.fault = p }
 
@@ -330,7 +340,7 @@ func (e *Engine) pollDevice(dev *netdev.Device, start sim.Time) (int, sim.Time) 
 		e.stats.Packets++
 		dev.Processed++
 		if e.obs != nil {
-			e.obs.Span(dev.Name, dev.Kind.StageName(), skb.ID, skb.Priority, hStart, t)
+			e.devObs(dev).Span(dev.Kind.StageName(), skb.ID, skb.Priority, hStart, t)
 		}
 		t = e.applyTransition(dev, skb, res, t)
 	}
@@ -367,7 +377,7 @@ func (e *Engine) applyTransition(dev *netdev.Device, skb *pkt.SKB, res netdev.Re
 				e.stats.Packets++
 				next.Processed++
 				if e.obs != nil {
-					e.obs.Span(next.Name, next.Kind.StageName(), skb.ID, skb.Priority, hStart, t)
+					e.devObs(next).Span(next.Kind.StageName(), skb.ID, skb.Priority, hStart, t)
 				}
 				cur = next
 				continue
@@ -388,7 +398,7 @@ func (e *Engine) applyTransition(dev *netdev.Device, skb *pkt.SKB, res netdev.Re
 						e.stats.Dropped++
 						e.stats.Shed++
 						if e.obs != nil {
-							e.obs.Drop(t, next.Name, obs.StageShed, victim.ID, victim.Priority)
+							e.devObs(next).Drop(t, obs.StageShed, victim.ID, victim.Priority)
 						}
 						victim.Free()
 					}
@@ -398,7 +408,7 @@ func (e *Engine) applyTransition(dev *netdev.Device, skb *pkt.SKB, res netdev.Re
 			if !ok {
 				e.stats.Dropped++
 				if e.obs != nil {
-					e.obs.Drop(t, next.Name, next.Kind.StageName(), skb.ID, skb.Priority)
+					e.devObs(next).Drop(t, next.Kind.StageName(), skb.ID, skb.Priority)
 				}
 				skb.Free()
 				return t
@@ -428,14 +438,14 @@ func (e *Engine) applyTransition(dev *netdev.Device, skb *pkt.SKB, res netdev.Re
 		case netdev.VerdictDrop:
 			e.stats.Dropped++
 			if e.obs != nil {
-				e.obs.Drop(t, cur.Name, cur.Kind.StageName(), skb.ID, skb.Priority)
+				e.devObs(cur).Drop(t, cur.Kind.StageName(), skb.ID, skb.Priority)
 			}
 			skb.Free()
 			return t
 		case netdev.VerdictAbsorbed:
 			// GRO merged the frame into an earlier SKB; nothing to route.
 			if e.obs != nil {
-				e.obs.Absorbed(t, cur.Name, skb.ID, skb.Priority)
+				e.devObs(cur).Absorbed(t, skb.ID, skb.Priority)
 			}
 			skb.Free()
 			return t

@@ -17,55 +17,72 @@ import (
 //
 // Values are bucketed as (exponent, mantissa-slot): each power-of-two range
 // is split into subBuckets linear slots, giving a worst-case relative
-// quantile error of 1/subBuckets (~0.8% with the default 128). The zero
-// value is NOT ready to use; call NewHistogram.
+// quantile error of 1/subBuckets (~0.8%). Storage is one row of subBuckets
+// counts per power-of-two octave, allocated on the first value recorded
+// into that octave, so memory is proportional to the range recorded rather
+// than the range representable. The zero value is NOT ready to use; call
+// NewHistogram.
 type Histogram struct {
-	counts     []uint64
-	subBuckets int
-	subShift   uint // log2(subBuckets)
-	count      uint64
-	sum        float64
-	min        int64
-	max        int64
+	// rows[r] holds the counts of buckets [r*subBuckets, (r+1)*subBuckets);
+	// nil until a value lands in that octave.
+	rows  []*[subBuckets]uint64
+	count uint64
+	sum   float64
+	min   int64
+	max   int64
 }
 
-const defaultSubBuckets = 128
+const (
+	subBuckets = 128
+	subShift   = 7 // log2(subBuckets)
+)
 
 // NewHistogram returns an empty histogram able to record values in
-// [0, 2^62) nanoseconds.
+// [0, 2^62) nanoseconds. It holds no bucket storage until the first
+// Record; each octave recorded into then costs one 1 KiB row.
 func NewHistogram() *Histogram {
-	sb := defaultSubBuckets
-	shift := uint(bits.Len64(uint64(sb)) - 1)
-	// 64 exponent ranges x subBuckets slots is more than enough for any
-	// latency this simulator can produce; ~64 KiB per histogram.
-	return &Histogram{
-		counts:     make([]uint64, 64*sb),
-		subBuckets: sb,
-		subShift:   shift,
-		min:        math.MaxInt64,
-		max:        -1,
-	}
+	return &Histogram{min: math.MaxInt64, max: -1}
 }
 
 // bucketIndex maps a non-negative value to its bucket.
-func (h *Histogram) bucketIndex(v int64) int {
-	if v < int64(h.subBuckets) {
+func bucketIndex(v int64) int {
+	if v < subBuckets {
 		return int(v)
 	}
 	u := uint64(v)
-	exp := bits.Len64(u) - int(h.subShift) - 1 // how far above the linear range
-	slot := int(u >> uint(exp))                // in [subBuckets, 2*subBuckets)
-	return exp*h.subBuckets + slot
+	exp := bits.Len64(u) - subShift - 1 // how far above the linear range
+	slot := int(u >> uint(exp))         // in [subBuckets, 2*subBuckets)
+	return exp*subBuckets + slot
 }
 
 // bucketLow returns the smallest value mapping to bucket i.
-func (h *Histogram) bucketLow(i int) int64 {
-	if i < h.subBuckets {
+func bucketLow(i int) int64 {
+	if i < subBuckets {
 		return int64(i)
 	}
-	exp := i/h.subBuckets - 1
-	slot := i - exp*h.subBuckets // in [subBuckets, 2*subBuckets)
+	exp := i/subBuckets - 1
+	slot := i - exp*subBuckets // in [subBuckets, 2*subBuckets)
 	return int64(slot) << uint(exp)
+}
+
+// row returns the storage of row r, allocating it on first use.
+func (h *Histogram) row(r int) *[subBuckets]uint64 {
+	if r < len(h.rows) {
+		if row := h.rows[r]; row != nil {
+			return row
+		}
+	}
+	return h.addRow(r)
+}
+
+func (h *Histogram) addRow(r int) *[subBuckets]uint64 {
+	if r >= len(h.rows) {
+		rows := make([]*[subBuckets]uint64, r+1)
+		copy(rows, h.rows)
+		h.rows = rows
+	}
+	h.rows[r] = new([subBuckets]uint64)
+	return h.rows[r]
 }
 
 // Record adds one observation. Negative values are clamped to zero: they
@@ -76,7 +93,8 @@ func (h *Histogram) Record(v sim.Time) {
 	if n < 0 {
 		n = 0
 	}
-	h.counts[h.bucketIndex(n)]++
+	i := bucketIndex(n)
+	h.row(i >> subShift)[i&(subBuckets-1)]++
 	h.count++
 	h.sum += float64(n)
 	if n < h.min {
@@ -102,8 +120,7 @@ func (h *Histogram) Min() sim.Time {
 	return sim.Time(h.min)
 }
 
-// Max returns an upper bound of the largest recorded value (exact to bucket
-// resolution), or 0 if empty.
+// Max returns the exact largest recorded value, or 0 if empty.
 func (h *Histogram) Max() sim.Time {
 	if h.count == 0 {
 		return 0
@@ -136,19 +153,24 @@ func (h *Histogram) Quantile(q float64) sim.Time {
 		rank = 1
 	}
 	var seen uint64
-	for i, c := range h.counts {
-		seen += c
-		if seen >= rank {
-			v := h.bucketLow(i)
-			// Clamp to the exact observed range so quantiles are monotone
-			// with the exact Min/Max endpoints.
-			if v < h.min {
-				v = h.min
+	for r, row := range h.rows {
+		if row == nil {
+			continue
+		}
+		for j, c := range row {
+			seen += c
+			if seen >= rank {
+				v := bucketLow(r<<subShift + j)
+				// Clamp to the exact observed range so quantiles are
+				// monotone with the exact Min/Max endpoints.
+				if v < h.min {
+					v = h.min
+				}
+				if v > h.max {
+					v = h.max
+				}
+				return sim.Time(v)
 			}
-			if v > h.max {
-				v = h.max
-			}
-			return sim.Time(v)
 		}
 	}
 	return sim.Time(h.max)
@@ -182,30 +204,38 @@ func (h *Histogram) CDF() []CDFPoint {
 	}
 	pts := make([]CDFPoint, 0, 64)
 	var seen uint64
-	for i, c := range h.counts {
-		if c == 0 {
+	for r, row := range h.rows {
+		if row == nil {
 			continue
 		}
-		seen += c
-		pts = append(pts, CDFPoint{
-			Value:    sim.Time(h.bucketLow(i)),
-			Fraction: float64(seen) / float64(h.count),
-		})
+		for j, c := range row {
+			if c == 0 {
+				continue
+			}
+			seen += c
+			pts = append(pts, CDFPoint{
+				Value:    sim.Time(bucketLow(r<<subShift + j)),
+				Fraction: float64(seen) / float64(h.count),
+			})
+		}
 	}
 	return pts
 }
 
-// Merge adds all observations of other into h. The two histograms must
-// share the same geometry (they do unless constructed differently).
+// Merge adds all observations of other into h, allocating in h only the
+// rows other has.
 func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.count == 0 {
 		return
 	}
-	if other.subBuckets != h.subBuckets {
-		panic("stats: merging histograms with different geometry")
-	}
-	for i, c := range other.counts {
-		h.counts[i] += c
+	for r, src := range other.rows {
+		if src == nil {
+			continue
+		}
+		dst := h.row(r)
+		for j, c := range src {
+			dst[j] += c
+		}
 	}
 	h.count += other.count
 	h.sum += other.sum
@@ -230,10 +260,13 @@ func MergeHistograms(hs ...*Histogram) *Histogram {
 	return out
 }
 
-// Reset clears all recorded observations.
+// Reset clears all recorded observations. Rows already allocated are
+// zeroed and kept for reuse.
 func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
+	for _, row := range h.rows {
+		if row != nil {
+			*row = [subBuckets]uint64{}
+		}
 	}
 	h.count = 0
 	h.sum = 0

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -358,5 +359,229 @@ func TestRateCounterMerge(t *testing.T) {
 	c.Merge(nil) // no-op
 	if c.Count() != 300 {
 		t.Errorf("count after nil merge = %d", c.Count())
+	}
+}
+
+// denseHist is the reference implementation the row-on-demand Histogram is
+// checked against: one eagerly allocated 64×128 count array with the same
+// (exponent, mantissa-slot) geometry, walked in full by every query.
+type denseHist struct {
+	counts   [64 * 128]uint64
+	count    uint64
+	sum      float64
+	min, max int64
+}
+
+func newDense() *denseHist { return &denseHist{min: math.MaxInt64, max: -1} }
+
+func denseIndex(v int64) int {
+	if v < 128 {
+		return int(v)
+	}
+	exp := bits.Len64(uint64(v)) - 8
+	return exp*128 + int(uint64(v)>>uint(exp))
+}
+
+func denseLow(i int) int64 {
+	if i < 128 {
+		return int64(i)
+	}
+	exp := i/128 - 1
+	return int64(i-exp*128) << uint(exp)
+}
+
+func (d *denseHist) record(v int64) {
+	if v < 0 {
+		v = 0
+	}
+	d.counts[denseIndex(v)]++
+	d.count++
+	d.sum += float64(v)
+	d.min = min(d.min, v)
+	d.max = max(d.max, v)
+}
+
+func (d *denseHist) merge(o *denseHist) {
+	if o.count == 0 {
+		return
+	}
+	for i, c := range o.counts {
+		d.counts[i] += c
+	}
+	d.count += o.count
+	d.sum += o.sum
+	d.min = min(d.min, o.min)
+	d.max = max(d.max, o.max)
+}
+
+func (d *denseHist) quantile(q float64) sim.Time {
+	switch {
+	case d.count == 0:
+		return 0
+	case q <= 0:
+		return sim.Time(d.min)
+	case q >= 1:
+		return sim.Time(d.max)
+	}
+	rank := max(uint64(math.Ceil(q*float64(d.count))), 1)
+	var seen uint64
+	for i, c := range d.counts {
+		if seen += c; seen >= rank {
+			return sim.Time(min(max(denseLow(i), d.min), d.max))
+		}
+	}
+	return sim.Time(d.max)
+}
+
+func (d *denseHist) cdf() []CDFPoint {
+	if d.count == 0 {
+		return nil
+	}
+	var pts []CDFPoint
+	var seen uint64
+	for i, c := range d.counts {
+		if c == 0 {
+			continue
+		}
+		seen += c
+		pts = append(pts, CDFPoint{Value: sim.Time(denseLow(i)), Fraction: float64(seen) / float64(d.count)})
+	}
+	return pts
+}
+
+// sameAsDense fails t unless h answers every query exactly as d does.
+func sameAsDense(t *testing.T, what string, h *Histogram, d *denseHist) {
+	t.Helper()
+	if h.Count() != d.count || h.Sum() != d.sum {
+		t.Fatalf("%s: count/sum = %d/%v, want %d/%v", what, h.Count(), h.Sum(), d.count, d.sum)
+	}
+	var wantMin, wantMax, wantMean sim.Time
+	if d.count > 0 {
+		wantMin, wantMax, wantMean = sim.Time(d.min), sim.Time(d.max), sim.Time(d.sum/float64(d.count))
+	}
+	if h.Min() != wantMin || h.Max() != wantMax || h.Mean() != wantMean {
+		t.Fatalf("%s: min/max/mean = %v/%v/%v, want %v/%v/%v", what,
+			h.Min(), h.Max(), h.Mean(), wantMin, wantMax, wantMean)
+	}
+	for q := -0.1; q <= 1.1; q += 0.0025 {
+		if got, want := h.Quantile(q), d.quantile(q); got != want {
+			t.Fatalf("%s: Quantile(%v) = %v, want %v", what, q, got, want)
+		}
+	}
+	for _, q := range []float64{0.5, 0.9, 0.99, 0.999, 0.9999} {
+		if got, want := h.Quantile(q), d.quantile(q); got != want {
+			t.Fatalf("%s: Quantile(%v) = %v, want %v", what, q, got, want)
+		}
+	}
+	if got, want := h.CDF(), d.cdf(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: CDF differs from the dense reference (%d vs %d points)", what, len(got), len(want))
+	}
+}
+
+// edgeValues are the geometry's boundaries: the linear range's ends, the
+// first octave's ends, the top of the representable range, and negatives
+// (clamped to zero).
+var edgeValues = []int64{0, 1, 127, 128, 129, 255, 256, 511, 512, 1<<20 - 1, 1 << 20, 1<<62 - 1, -1, -1 << 40}
+
+// fill records n seeded values into both h and d: edge values first, then
+// values spread log-uniformly up to 2^maxBits.
+func fill(h *Histogram, d *denseHist, rng *sim.RNG, n, maxBits int, edges bool) {
+	if edges {
+		for _, v := range edgeValues {
+			h.Record(sim.Time(v))
+			d.record(v)
+		}
+	}
+	for i := 0; i < n; i++ {
+		v := int64(rng.Uint64() >> uint(64-1-rng.Intn(maxBits)))
+		h.Record(sim.Time(v))
+		d.record(v)
+	}
+}
+
+func TestHistogramMatchesDenseReference(t *testing.T) {
+	rng := sim.NewRNG(13)
+	for trial, bitsMax := range []int{7, 8, 12, 20, 30, 40, 62} {
+		h, d := NewHistogram(), newDense()
+		sameAsDense(t, "empty", h, d)
+		fill(h, d, rng, 4000, bitsMax, trial%2 == 0)
+		sameAsDense(t, "recorded", h, d)
+
+		// Reuse after Reset: rows are kept, answers start over.
+		h.Reset()
+		d = newDense()
+		sameAsDense(t, "reset", h, d)
+		fill(h, d, rng, 1000, bitsMax, true)
+		sameAsDense(t, "refilled", h, d)
+	}
+}
+
+func TestHistogramMergeMatchesDenseReference(t *testing.T) {
+	rng := sim.NewRNG(17)
+	cases := []struct {
+		name           string
+		dstN, srcN     int
+		dstTop, srcTop int
+	}{
+		{"src has more rows", 500, 500, 10, 40},
+		{"dst has more rows", 500, 500, 40, 10},
+		{"into empty", 0, 500, 1, 30},
+		{"from empty", 500, 0, 30, 1},
+		{"both empty", 0, 0, 1, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			a, da := NewHistogram(), newDense()
+			b, db := NewHistogram(), newDense()
+			fill(a, da, rng, tc.dstN, tc.dstTop, false)
+			fill(b, db, rng, tc.srcN, tc.srcTop, false)
+			ab, dab := MergeHistograms(a, b), newDense()
+			dab.merge(da)
+			dab.merge(db)
+			sameAsDense(t, "a+b", ab, dab)
+			// Both directions of in-place Merge agree with the reference.
+			a.Merge(b)
+			da.merge(db)
+			sameAsDense(t, "a.Merge(b)", a, da)
+			b.Merge(ab)
+			db.merge(dab)
+			sameAsDense(t, "b.Merge(a+b)", b, db)
+		})
+	}
+}
+
+func TestHistogramRowsOnDemand(t *testing.T) {
+	h := NewHistogram()
+	if len(h.rows) != 0 {
+		t.Fatalf("empty histogram holds %d rows", len(h.rows))
+	}
+	allocated := func() int {
+		n := 0
+		for _, r := range h.rows {
+			if r != nil {
+				n++
+			}
+		}
+		return n
+	}
+	// [2^20, 2^21) is one octave: one row, however many values.
+	for v := int64(1 << 20); v < 1<<21; v += 997 {
+		h.Record(sim.Time(v))
+	}
+	if n := allocated(); n != 1 {
+		t.Errorf("values within one octave allocated %d rows, want 1", n)
+	}
+	h.Record(5)
+	h.Record(1 << 40)
+	if n := allocated(); n != 3 {
+		t.Errorf("three octaves allocated %d rows, want 3", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { h.Record(1<<20 + 12345) }); n != 0 {
+		t.Errorf("recording into an existing row allocates %.1f times", n)
+	}
+	e := NewHistogram()
+	e.Merge(NewHistogram())
+	if len(e.rows) != 0 {
+		t.Error("merging an empty histogram allocated rows")
 	}
 }

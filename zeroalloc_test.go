@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"prism"
+	"prism/internal/obs"
 	"prism/internal/par"
+	"prism/internal/prio"
 	"prism/internal/sim"
 )
 
@@ -34,6 +36,32 @@ func TestSteadyStateRxPathZeroAlloc(t *testing.T) {
 				s.Run(1_000_000)
 			}); avg != 0 {
 				t.Errorf("steady-state RX path allocates: %.1f allocs per 1ms of virtual time", avg)
+			}
+		})
+	}
+}
+
+// TestSteadyStateObservedRxPathZeroAlloc is the same gate with
+// observation on: an obs pipeline attached to the whole receive path
+// records every DMA, IRQ, stage span, delivery and drop. Once the span
+// ring has wrapped, every series has been resolved into its handle and
+// every histogram row the traffic reaches exists, recording must not
+// touch the heap either — observability cheap enough to leave on.
+func TestSteadyStateObservedRxPathZeroAlloc(t *testing.T) {
+	for _, mode := range []prio.Mode{prio.ModeVanilla, prio.ModeBatch, prio.ModeSync} {
+		t.Run(mode.String(), func(t *testing.T) {
+			pipe := obs.NewPipeline("zeroalloc")
+			tb, fl := newFloodRig(mode, pipe)
+			runFor(tb, 200*sim.Millisecond)
+			if fl.Delivered.Count() == 0 || pipe.T.Overwritten == 0 {
+				t.Fatalf("warmup delivered %d packets and wrapped the span ring %d times; want both > 0",
+					fl.Delivered.Count(), pipe.T.Overwritten)
+			}
+
+			if avg := testing.AllocsPerRun(10, func() {
+				runFor(tb, sim.Millisecond)
+			}); avg != 0 {
+				t.Errorf("observed steady-state RX path allocates: %.1f allocs per 1ms of virtual time", avg)
 			}
 		})
 	}
