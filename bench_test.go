@@ -11,6 +11,7 @@
 package prism_test
 
 import (
+	"runtime"
 	"testing"
 
 	"prism"
@@ -514,4 +515,64 @@ func BenchmarkClusterSweep(b *testing.B) {
 		"fabric-util-max": row.FabricUtilMax,
 		"admit-denied":    float64(row.AdmitDenied),
 	})
+}
+
+// BenchmarkClusterScaling gates what the conservative runtime buys on
+// the paper-scale cluster point — 16 hosts in 2 racks, 1000 containers,
+// spread placement, admission on — at 1 and 2 workers. One op is one
+// cluster run (warmup plus 100ms); ns/op times Cluster.Run alone, not
+// the build or the settle. speedup-vs-1w is the 1-worker time over this
+// worker count's, reported with GOMAXPROCS since cores bound it;
+// windows is the barrier count (the same at every worker count) and
+// allocs/frame the heap allocations per host wire frame during the run.
+func BenchmarkClusterScaling(b *testing.B) {
+	p := benchParams()
+	p.Warmup, p.Duration = 10*sim.Millisecond, 100*sim.Millisecond
+	cc := experiments.DefaultClusterConfig()
+	var seqNs float64
+	for _, w := range []int{1, 2} {
+		b.Run(benchName("workers", w), func(b *testing.B) {
+			p.Workers = w
+			var (
+				before, after runtime.MemStats
+				windows       uint64
+				frames        uint64
+			)
+			b.StopTimer()
+			for i := 0; i < b.N; i++ {
+				_, _, err := experiments.RunCluster(p, cc.Config(p, cluster.PlaceSpread), experiments.ClusterRun{
+					Label:  "cluster-scaling",
+					Strict: true,
+					Prepare: func(*cluster.Cluster) {
+						runtime.ReadMemStats(&before)
+						b.StartTimer()
+					},
+					Measure: func(c *cluster.Cluster) {
+						b.StopTimer()
+						runtime.ReadMemStats(&after)
+						windows, frames = c.Group.Windows, 0
+						for _, n := range c.Nodes {
+							frames += n.Host.RxWire
+						}
+					},
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			if w == 1 {
+				seqNs = ns
+			}
+			metrics := map[string]float64{
+				"windows":      float64(windows),
+				"allocs/frame": float64(after.Mallocs-before.Mallocs) / float64(frames),
+				"GOMAXPROCS":   float64(runtime.GOMAXPROCS(0)),
+			}
+			if w > 1 && seqNs > 0 && ns > 0 {
+				metrics["speedup-vs-1w"] = seqNs / ns
+			}
+			record(b, float64(frames), metrics)
+		})
+	}
 }

@@ -26,10 +26,11 @@ import (
 
 // gatedBenchRegex selects the regression-gated benchmarks: the pooled
 // softirq hot path, the burst ablation, the cluster sweep, the event
-// queue microbenchmarks guarding the timing wheel, and the observed vs
-// unobserved flood pricing the obs pipeline. This is the single source of
-// truth — the CI bench job runs exactly this set.
-const gatedBenchRegex = "BenchmarkSoftirqPoll|BenchmarkAblationBurst|BenchmarkClusterSweep|BenchmarkEventQueue|BenchmarkObsOverhead"
+// queue microbenchmarks guarding the timing wheel, the observed vs
+// unobserved flood pricing the obs pipeline, and the paper-scale cluster
+// run at 1 and 2 workers pricing the par runtime. This is the single
+// source of truth — the CI bench job runs exactly this set.
+const gatedBenchRegex = "BenchmarkSoftirqPoll|BenchmarkAblationBurst|BenchmarkClusterSweep|BenchmarkEventQueue|BenchmarkObsOverhead|BenchmarkClusterScaling"
 
 type record struct {
 	Name    string  `json:"name"`

@@ -83,6 +83,50 @@ type queued struct {
 	arrived sim.Time
 }
 
+// frameRing is an egress class queue: a FIFO over a power-of-two ring
+// that reuses its backing array, so steady forwarding never allocates.
+// Vacated slots are cleared, so a dequeued, shed or flushed frame is not
+// kept reachable by the ring.
+type frameRing struct {
+	buf     []queued
+	head, n int
+}
+
+func (r *frameRing) len() int { return r.n }
+
+func (r *frameRing) push(q queued) {
+	if r.n == len(r.buf) {
+		grown := make([]queued, max(16, 2*len(r.buf)))
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = grown, 0
+	}
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = q
+	r.n++
+}
+
+// pop removes the oldest frame.
+func (r *frameRing) pop() queued {
+	q := r.buf[r.head]
+	r.buf[r.head] = queued{}
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return q
+}
+
+// dropNewest removes the youngest frame.
+func (r *frameRing) dropNewest() {
+	r.n--
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = queued{}
+}
+
+// flush empties the ring.
+func (r *frameRing) flush() {
+	clear(r.buf)
+	r.head, r.n = 0, 0
+}
+
 // Port is one switch egress: a two-class queue feeding a cross-shard
 // link, serialized at line rate, strict priority across classes.
 type Port struct {
@@ -90,9 +134,11 @@ type Port struct {
 	link *par.Link
 	prop sim.Time
 
-	hi, lo []queued
-	busy   bool
-	cap    int
+	hi, lo frameRing
+	// tx is the frame being serialized while busy.
+	tx   queued
+	busy bool
+	cap  int
 	// down marks the link severed (ToR-uplink failure): queued frames
 	// are flushed and arrivals drop until it restores. Mutated only from
 	// the owning switch's shard (exact-time events) or at barriers (the
@@ -117,7 +163,7 @@ type Port struct {
 	obs *obs.Dev
 }
 
-func (p *Port) depth() int { return len(p.hi) + len(p.lo) }
+func (p *Port) depth() int { return p.hi.len() + p.lo.len() }
 
 // Queued reports frames currently waiting at the port (excluding the one
 // being serialized).
@@ -228,11 +274,11 @@ func (s *Switch) enqueue(now sim.Time, p *Port, q queued) {
 		return
 	}
 	if p.depth() >= p.cap {
-		if q.hi && len(p.lo) > 0 {
+		if q.hi && p.lo.len() > 0 {
 			// Evict the youngest best-effort frame: the oldest is
 			// closest to transmission and dropping it wastes the most
 			// queueing work.
-			p.lo = p.lo[:len(p.lo)-1]
+			p.lo.dropNewest()
 			p.ShedLo++
 			p.Dropped++
 			p.obs.FabricDrop(now, "shed", 0)
@@ -243,9 +289,9 @@ func (s *Switch) enqueue(now sim.Time, p *Port, q queued) {
 		}
 	}
 	if q.hi {
-		p.hi = append(p.hi, q)
+		p.hi.push(q)
 	} else {
-		p.lo = append(p.lo, q)
+		p.lo.push(q)
 	}
 	if !p.busy {
 		s.startTx(now, p)
@@ -253,23 +299,31 @@ func (s *Switch) enqueue(now sim.Time, p *Port, q queued) {
 }
 
 // startTx dequeues strict-priority and occupies the port for the switch
-// latency plus the frame's serialization time.
+// latency plus the frame's serialization time. The frame waits on the
+// port and the completion event carries only (switch, port), so a
+// transmit allocates nothing.
 func (s *Switch) startTx(now sim.Time, p *Port) {
-	var q queued
-	if len(p.hi) > 0 {
-		q, p.hi = p.hi[0], p.hi[1:]
-	} else if len(p.lo) > 0 {
-		q, p.lo = p.lo[0], p.lo[1:]
-	} else {
+	switch {
+	case p.hi.len() > 0:
+		p.tx = p.hi.pop()
+	case p.lo.len() > 0:
+		p.tx = p.lo.pop()
+	default:
 		return
 	}
 	p.busy = true
-	done := now + s.latency + s.cfg.serialization(len(q.frame))
+	done := now + s.latency + s.cfg.serialization(len(p.tx.frame))
 	p.busyNs += done - now
-	s.Shard.Eng.At(done, func() { s.finishTx(done, p, q) })
+	s.Shard.Eng.CallAt(done, finishTxEvent, s, p)
 }
 
-func (s *Switch) finishTx(done sim.Time, p *Port, q queued) {
+// finishTxEvent is startTx's completion trampoline: a1 is the *Switch,
+// a2 the *Port.
+func finishTxEvent(done sim.Time, a1, a2 any) { a1.(*Switch).finishTx(done, a2.(*Port)) }
+
+func (s *Switch) finishTx(done sim.Time, p *Port) {
+	q := p.tx
+	p.tx = queued{}
 	prio := 0
 	if q.hi {
 		prio = 1
@@ -301,13 +355,14 @@ func (s *Switch) setPortDown(now sim.Time, p *Port, down bool) {
 		return
 	}
 	flushed := p.depth()
-	for i := 0; i < len(p.hi); i++ {
+	for i := 0; i < p.hi.len(); i++ {
 		p.obs.FabricDrop(now, "link-down", 1)
 	}
-	for i := 0; i < len(p.lo); i++ {
+	for i := 0; i < p.lo.len(); i++ {
 		p.obs.FabricDrop(now, "link-down", 0)
 	}
-	p.hi, p.lo = p.hi[:0], p.lo[:0]
+	p.hi.flush()
+	p.lo.flush()
 	p.Dropped += uint64(flushed)
 	p.DownDropped += uint64(flushed)
 }

@@ -40,10 +40,10 @@ func (cc ClusterConfig) withDefaults(def ClusterConfig) ClusterConfig {
 	return cc
 }
 
-// config is the experiment cluster under one placement policy:
+// Config is the experiment cluster under one placement policy:
 // clusterSpecs's workload on PRISM-sync hosts behind the ingress
 // admission point the cluster and failover grids share.
-func (cc ClusterConfig) config(p Params, pol cluster.Placement) cluster.Config {
+func (cc ClusterConfig) Config(p Params, pol cluster.Placement) cluster.Config {
 	return cluster.Config{
 		Hosts:     cc.Hosts,
 		Placement: pol,
@@ -145,7 +145,7 @@ func Cluster(p Params, cc ClusterConfig) (ClusterResult, error) {
 	for _, pol := range cc.Placements {
 		row := ClusterRow{Placement: pol.String()}
 		var err error
-		row.MetricsSHA, row.SpansSHA, err = RunCluster(p, cc.config(p, pol), ClusterRun{
+		row.MetricsSHA, row.SpansSHA, err = RunCluster(p, cc.Config(p, pol), ClusterRun{
 			Label:  "cluster/" + pol.String(),
 			Strict: true,
 			Measure: func(c *cluster.Cluster) {
@@ -196,9 +196,9 @@ func RunCluster(p Params, cfg cluster.Config, run ClusterRun) (metricsSHA, spans
 
 	// Frame taps feed /capture (classified by the cluster's flow table),
 	// and a virtual-time checkpoint streams merged metric snapshots,
-	// trace deltas and per-port fabric load. All hooks are pure
-	// observation at quiescent points — the digests stay bit-identical
-	// either way.
+	// trace deltas, per-port fabric load and the par runtime's window
+	// counters. All hooks are pure observation at quiescent points — the
+	// digests stay bit-identical either way.
 	if lv := p.Live; lv != nil {
 		lv.SetRun(run.Label, cfg.Warmup+p.Duration)
 		lv.SetClassifier(c.ClassifyFrame)
@@ -206,6 +206,7 @@ func RunCluster(p Params, cfg cluster.Config, run ClusterRun) (metricsSHA, spans
 		streamer := obs.NewStreamer(lv, c.Pipes()...)
 		c.SetCheckpoint(lv.Interval, func(at sim.Time) {
 			lv.PublishFabric(c.FabricPortUtil(at))
+			lv.PublishPar(c.Group.Windows, c.Group.ShardRuns)
 			streamer.Checkpoint(at)
 		})
 	}

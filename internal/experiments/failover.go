@@ -122,7 +122,7 @@ func Failover(p Params, fc FailoverConfig) (FailoverResult, error) {
 		RecoverBound: recovered,
 	}
 	for _, pol := range fc.Placements {
-		cfg := fc.config(p, pol)
+		cfg := fc.Config(p, pol)
 		cfg.Fabric = cluster.FabricConfig{Racks: 2}
 		cfg.Recovery = &cluster.RecoveryConfig{
 			Script: rec.Script{{

@@ -209,3 +209,68 @@ func TestLiveSurfaceEndToEndCluster(t *testing.T) {
 		t.Errorf("terminal status = %+v", st)
 	}
 }
+
+// TestLiveStatusParCounters streams /status through a small cluster run:
+// every checkpoint sample carries the par runtime's window and
+// shard-window counts, and neither ever goes down.
+func TestLiveStatusParCounters(t *testing.T) {
+	lv := live.NewServer()
+	ts := httptest.NewServer(lv.Handler())
+	defer ts.Close()
+
+	// The handler registers the subscription before it sends the headers
+	// Get waits for, so no checkpoint can be missed.
+	resp, err := http.Get(ts.URL + "/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	lines := make(chan [][]byte, 1)
+	go func() {
+		var got [][]byte
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(make([]byte, 1<<20), 1<<20)
+		for sc.Scan() {
+			if line, ok := bytes.CutPrefix(sc.Bytes(), []byte("data: ")); ok {
+				got = append(got, bytes.Clone(line))
+			}
+		}
+		lines <- got
+	}()
+
+	p := detParams()
+	p.Workers = 2
+	p.Live = lv
+	mustCluster(t, p, ClusterConfig{Hosts: 4, Containers: 48, Placements: []cluster.Placement{cluster.PlaceSpread}})
+	lv.Finish()
+
+	var prev live.Status
+	samples := 0
+	for _, line := range <-lines {
+		var st live.Status
+		if err := json.Unmarshal(line, &st); err != nil {
+			t.Fatalf("status payload %q: %v", line, err)
+		}
+		if st.Checkpoints == 0 {
+			continue
+		}
+		samples++
+		for _, key := range []string{`"par_windows":`, `"par_shard_runs":`} {
+			if !bytes.Contains(line, []byte(key)) {
+				t.Errorf("checkpoint %d status lacks %s: %s", st.Checkpoints, key, line)
+			}
+		}
+		if st.ParWindows < prev.ParWindows || st.ParShardRuns < prev.ParShardRuns {
+			t.Errorf("checkpoint %d: par counters went down: windows %d → %d, shard runs %d → %d",
+				st.Checkpoints, prev.ParWindows, st.ParWindows, prev.ParShardRuns, st.ParShardRuns)
+		}
+		if st.ParShardRuns < st.ParWindows {
+			t.Errorf("checkpoint %d: %d shard runs over %d windows; every window runs a shard",
+				st.Checkpoints, st.ParShardRuns, st.ParWindows)
+		}
+		prev = st
+	}
+	if samples < 2 {
+		t.Fatalf("only %d checkpoint samples streamed", samples)
+	}
+}

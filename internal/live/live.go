@@ -16,7 +16,8 @@
 //	/metrics.json  the same snapshot as JSON
 //	/capture   streaming pcap; ?container=<name>&prio=<hi|lo>&host=<h>&dir=<rx|tx>&max=<n>
 //	/trace     Chrome trace events as NDJSON, backlog then live
-//	/status    SSE run progress (virtual time, pkts/sec, fabric utilization)
+//	/status    SSE run progress (virtual time, pkts/sec, fabric utilization,
+//	           par windows)
 package live
 
 import (
@@ -61,6 +62,11 @@ type Status struct {
 	CaptureSubs []CaptureSub `json:"capture_subs,omitempty"`
 	// FabricUtil is per-port fabric transmit occupancy (cluster runs).
 	FabricUtil map[string]float64 `json:"fabric_util,omitempty"`
+	// ParWindows and ParShardRuns are the cluster's par runtime counters
+	// so far: synchronization windows, and shard-windows executed in
+	// them (cluster runs).
+	ParWindows   uint64 `json:"par_windows,omitempty"`
+	ParShardRuns uint64 `json:"par_shard_runs,omitempty"`
 }
 
 // Server implements obs.Sink over HTTP. One Server serves a whole
@@ -80,6 +86,9 @@ type Server struct {
 	prom     []byte
 	metaJSON []byte
 	chrome   *obs.ChromeStream
+
+	// windows/shardRuns are the par counters for the next status sample.
+	windows, shardRuns uint64
 
 	// backlog retains recent NDJSON trace chunks for late /trace joiners.
 	backlog      [][]byte
@@ -122,6 +131,7 @@ func (s *Server) SetRun(name string, horizon sim.Time) {
 	s.lastAt = 0
 	s.lastDelivered = 0
 	s.fabric = nil
+	s.windows, s.shardRuns = 0, 0
 }
 
 // SetClassifier installs the frame → (container, priority) resolver the
@@ -146,6 +156,18 @@ func (s *Server) PublishFabric(util map[string]float64) {
 	}
 	s.mu.Lock()
 	s.fabric = cp
+	s.mu.Unlock()
+}
+
+// PublishPar records the par runtime's window and shard-window counts
+// for the next status sample. Like PublishFabric, call it just before
+// the checkpoint that should carry them.
+func (s *Server) PublishPar(windows, shardRuns uint64) {
+	if s == nil {
+		return
+	}
+	s.mu.Lock()
+	s.windows, s.shardRuns = windows, shardRuns
 	s.mu.Unlock()
 }
 
@@ -175,6 +197,7 @@ func (s *Server) Checkpoint(at sim.Time, reg *obs.Registry, delta []obs.Event) {
 	}
 	s.lastAt, s.lastDelivered = at, delivered
 	s.status.FabricUtil = s.fabric
+	s.status.ParWindows, s.status.ParShardRuns = s.windows, s.shardRuns
 	s.status.CaptureDropped = s.hub.droppedCount()
 	s.status.CaptureSubs = s.hub.subscriberStats()
 

@@ -1,8 +1,9 @@
 // Package par is a conservative parallel discrete-event runtime: it runs
-// one sim.Engine shard per goroutine and synchronizes the shards with
-// lookahead derived from the model's physical delays (the wire latency of
-// the point-to-point link, the IPI cost of cross-core wakeups, the
-// per-queue independence of RSS steering).
+// sim.Engine shards on a persistent pool of worker goroutines and
+// synchronizes the shards with lookahead derived from the model's
+// physical delays (the wire latency of the point-to-point link, the IPI
+// cost of cross-core wakeups, the per-queue independence of RSS
+// steering).
 //
 // # Model
 //
@@ -15,8 +16,8 @@
 // T, then no shard can receive a message before T+lookahead, so every
 // shard may safely burn its local events up to (but not including)
 // T+lookahead with no synchronization at all. Group.Run repeats that
-// window computation, runs the shards concurrently within each window,
-// and exchanges buffered messages at the barrier.
+// window computation, runs the shards that have work in the window
+// concurrently, and exchanges buffered frames at the barrier.
 //
 // # Determinism
 //
@@ -53,13 +54,23 @@ type Shard struct {
 	Eng  *sim.Engine
 
 	// inbox holds cross-shard messages awaiting injection, sorted by
-	// (at, src, seq). Only the Group touches it, at barriers.
+	// (at, src, seq). The Group appends to it at barriers; the worker
+	// running the shard drains it at the start of the shard's window.
 	inbox []message
 	// outSeq numbers this shard's sends across all its outbound links,
 	// giving equal-timestamp messages from one shard a total order.
 	outSeq uint64
-	// err is the shard's result from the last window.
+	// err is the shard's result from the last window it ran in.
 	err error
+
+	// out lists the links this shard sends on, for the barrier collect.
+	out []*Link
+	// engNext/engBusy are the engine's earliest pending event, recorded
+	// by the worker that ran the shard's last window.
+	engNext sim.Time
+	engBusy bool
+	// dirty marks an inbox that grew at the current collect.
+	dirty bool
 }
 
 // String identifies the shard in logs and errors.

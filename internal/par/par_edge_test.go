@@ -18,8 +18,8 @@ func TestMinimalLookaheadTieOrdering(t *testing.T) {
 		g := NewGroup()
 		sink := g.Add("sink", sim.NewEngine(9))
 		var got []string
-		record := func(at sim.Time, payload any) {
-			got = append(got, fmt.Sprintf("%d %v", at, payload))
+		record := func(at sim.Time, frame []byte) {
+			got = append(got, fmt.Sprintf("%d %s", at, frame))
 		}
 		for i := 1; i <= 3; i++ {
 			i := i
@@ -29,8 +29,8 @@ func TestMinimalLookaheadTieOrdering(t *testing.T) {
 			// (they fire at the same virtual time) so any accidental
 			// execution-order dependence would invert the expected order.
 			src.Eng.At(0, func() {
-				l.Send(0, 40, fmt.Sprintf("s%d#0", i))
-				l.Send(0, 40, fmt.Sprintf("s%d#1", i))
+				l.Send(0, 40, []byte(fmt.Sprintf("s%d#0", i)))
+				l.Send(0, 40, []byte(fmt.Sprintf("s%d#1", i)))
 			})
 		}
 		if err := g.Run(100, workers); err != nil {
@@ -65,7 +65,7 @@ func TestIdleShardCrossesEmptyWindows(t *testing.T) {
 		src := g.Add("busy", sim.NewEngine(1))
 		idle := g.Add("idle", sim.NewEngine(2))
 		var got []sim.Time
-		l := g.Connect(src, idle, 5, func(at sim.Time, payload any) {
+		l := g.Connect(src, idle, 5, func(at sim.Time, frame []byte) {
 			if idle.Eng.Now() != at {
 				t.Errorf("workers=%d: delivered at engine time %v, stamp %v", workers, idle.Eng.Now(), at)
 			}
@@ -108,9 +108,9 @@ func TestBurstyShardSilentWindows(t *testing.T) {
 		steady := g.Add("steady", sim.NewEngine(2))
 		sink := g.Add("sink", sim.NewEngine(3))
 		logs := make([][]string, 2)
-		record := func(i int) func(at sim.Time, payload any) {
-			return func(at sim.Time, payload any) {
-				logs[i] = append(logs[i], fmt.Sprintf("%d %v", at, payload))
+		record := func(i int) func(at sim.Time, frame []byte) {
+			return func(at sim.Time, frame []byte) {
+				logs[i] = append(logs[i], fmt.Sprintf("%d %s", at, frame))
 			}
 		}
 		lb := g.Connect(bursty, sink, 20, record(0))
@@ -119,12 +119,12 @@ func TestBurstyShardSilentWindows(t *testing.T) {
 		// again — thousands of windows pass with this shard empty.
 		for i := 0; i < 10; i++ {
 			at := sim.Time(10 * i)
-			bursty.Eng.At(at, func() { lb.Send(at, 25, fmt.Sprintf("burst@%d", at)) })
+			bursty.Eng.At(at, func() { lb.Send(at, 25, []byte(fmt.Sprintf("burst@%d", at))) })
 		}
 		var tick func()
 		tick = func() {
 			now := steady.Eng.Now()
-			ls.Send(now, 20+sim.Time(steady.Eng.RNG().Intn(90)), fmt.Sprintf("steady@%d", now))
+			ls.Send(now, 20+sim.Time(steady.Eng.RNG().Intn(90)), []byte(fmt.Sprintf("steady@%d", now)))
 			steady.Eng.After(37, tick)
 		}
 		steady.Eng.At(0, tick)
@@ -161,13 +161,13 @@ func TestWindowBoundaryMessage(t *testing.T) {
 		a := g.Add("a", sim.NewEngine(1))
 		b := g.Add("b", sim.NewEngine(2))
 		var got []sim.Time
-		l := g.Connect(a, b, 50, func(at sim.Time, payload any) { got = append(got, at) })
+		l := g.Connect(a, b, 50, func(at sim.Time, frame []byte) { got = append(got, at) })
 		a.Eng.At(0, func() {
-			l.Send(0, 50, "boundary") // arrives exactly at first window end (0+lookahead)
+			l.Send(0, 50, []byte("boundary")) // arrives exactly at first window end (0+lookahead)
 		})
 		a.Eng.At(950, func() {
-			l.Send(950, 50, "at-horizon")   // arrives exactly at horizon 1000
-			l.Send(950, 60, "past-horizon") // arrives at 1010 — beyond the run
+			l.Send(950, 50, []byte("at-horizon"))   // arrives exactly at horizon 1000
+			l.Send(950, 60, []byte("past-horizon")) // arrives at 1010 — beyond the run
 		})
 		if err := g.Run(1000, workers); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)

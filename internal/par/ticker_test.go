@@ -51,7 +51,7 @@ func TestGroupOnBarrier(t *testing.T) {
 		g := NewGroup()
 		a := g.Add("a", sim.NewEngine(1))
 		b := g.Add("b", sim.NewEngine(2))
-		la := g.Connect(a, b, 10, func(at sim.Time, payload any) {})
+		la := g.Connect(a, b, 10, func(at sim.Time, frame []byte) {})
 		count := 0
 		a.Eng.At(0, func() {})
 		var rec func(at sim.Time)

@@ -1,6 +1,8 @@
 package prism_test
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"prism"
@@ -68,42 +70,76 @@ func TestSteadyStateObservedRxPathZeroAlloc(t *testing.T) {
 }
 
 // TestCrossShardInjectZeroAlloc gates the parallel runtime's cross-shard
-// path: two shards ping-pong a pooled token pointer over 1µs-lookahead
-// links, so every synchronization window exercises Link.Send, the barrier
-// collect/sort, and Group.inject's batched CallAt scheduling. Once the
-// link buffers, inboxes and event free-lists have warmed up, running more
-// windows must not allocate — this is the path that regressed when inject
-// captured a closure per message.
+// path: two shards ping-pong a frame each way over 1µs-lookahead links,
+// so every synchronization window runs both shards and exercises
+// Link.Send, the barrier collect/sort, Group.inject's batched CallAt
+// scheduling and, at workers=2, the pool's hand-over and barrier. Once
+// the link buffers, inboxes and event free-lists have warmed up, running
+// more windows must not allocate — this is the path that regressed when
+// inject captured a closure per message. Sequentially a whole Run
+// allocates nothing; with a pool each Run starts and stops its helpers,
+// so the gate there is that a Run over 10× more windows allocates no
+// more than a short one.
 func TestCrossShardInjectZeroAlloc(t *testing.T) {
-	g := par.NewGroup()
-	sa := g.Add("a", sim.NewEngine(1))
-	sb := g.Add("b", sim.NewEngine(2))
-	const lookahead = sim.Microsecond
-	var ab, ba *par.Link
-	ab = g.Connect(sa, sb, lookahead, func(at sim.Time, payload any) {
-		ba.Send(at, lookahead, payload)
-	})
-	ba = g.Connect(sb, sa, lookahead, func(at sim.Time, payload any) {
-		ab.Send(at, lookahead, payload)
-	})
-	token := new(int)
-	ab.Send(0, lookahead, token)
+	// Two processors at least, so workers=2 builds a pool on any machine.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			g := par.NewGroup()
+			sa := g.Add("a", sim.NewEngine(1))
+			sb := g.Add("b", sim.NewEngine(2))
+			const lookahead = sim.Microsecond
+			var ab, ba *par.Link
+			ab = g.Connect(sa, sb, lookahead, func(at sim.Time, frame []byte) {
+				ba.Send(at, lookahead, frame)
+			})
+			ba = g.Connect(sb, sa, lookahead, func(at sim.Time, frame []byte) {
+				ab.Send(at, lookahead, frame)
+			})
+			ab.Send(0, lookahead, make([]byte, 64))
+			ba.Send(0, lookahead, make([]byte, 64))
 
-	// Warm up the link buffers, inbox slices and both engines' free lists.
-	horizon := 10 * sim.Millisecond
-	if err := g.Run(horizon, 1); err != nil {
-		t.Fatal(err)
-	}
-	if g.Windows == 0 {
-		t.Fatal("warmup ran no synchronization windows")
-	}
+			// Warm up the link buffers, inbox slices and both engines' free lists.
+			horizon := 10 * sim.Millisecond
+			run := func(d sim.Time) {
+				horizon += d
+				if err := g.Run(horizon, workers); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run(0)
+			if g.Windows == 0 || g.ShardRuns != 2*g.Windows {
+				t.Fatalf("warmup ran %d windows and %d shard-windows; want both shards in every window",
+					g.Windows, g.ShardRuns)
+			}
 
-	if avg := testing.AllocsPerRun(10, func() {
-		horizon += sim.Millisecond
-		if err := g.Run(horizon, 1); err != nil {
-			t.Fatal(err)
-		}
-	}); avg != 0 {
-		t.Errorf("cross-shard inject path allocates: %.1f allocs per 1ms of virtual time", avg)
+			if workers == 1 {
+				if avg := testing.AllocsPerRun(10, func() { run(sim.Millisecond) }); avg != 0 {
+					t.Errorf("cross-shard inject path allocates: %.1f allocs per 1ms of virtual time", avg)
+				}
+			}
+			// testing.AllocsPerRun pins GOMAXPROCS to 1, which would size
+			// the pool away, so count mallocs directly. The minimum over
+			// several runs discards the runtime's occasional fresh
+			// goroutine record for a helper.
+			short := minMallocs(func() { run(sim.Millisecond) })
+			long := minMallocs(func() { run(10 * sim.Millisecond) })
+			if long > short {
+				t.Errorf("allocation per window: a 10ms run allocates %d, a 1ms run %d", long, short)
+			}
+		})
 	}
+}
+
+// minMallocs returns the fewest heap allocations fn made over ten calls.
+func minMallocs(fn func()) uint64 {
+	var before, after runtime.MemStats
+	best := ^uint64(0)
+	for i := 0; i < 10; i++ {
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	return best
 }
