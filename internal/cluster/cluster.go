@@ -569,22 +569,14 @@ func (c *Cluster) SetTap(fn func(host string, now sim.Time, frame []byte, tx boo
 // reply frames, its source port — indexes the container spec. Safe to call
 // concurrently; the flow table is immutable after New.
 func (c *Cluster) ClassifyFrame(frame []byte) (container string, hi bool, ok bool) {
-	inner := frame
-	if pkt.IsVXLAN(frame) {
-		_, in, err := pkt.Decapsulate(frame)
-		if err != nil {
-			return "", false, false
-		}
-		inner = in
-	}
-	fl, err := pkt.ParseFlow(inner)
+	h, err := pkt.Parse(frame)
 	if err != nil {
 		return "", false, false
 	}
-	if i, found := c.flowIndexForPort(fl.DstPort); found {
+	if i, found := c.flowIndexForPort(h.Flow.DstPort); found {
 		return c.Flows[i].Spec.Name, c.Flows[i].Spec.Hi, true
 	}
-	if i, found := c.flowIndexForPort(fl.SrcPort); found {
+	if i, found := c.flowIndexForPort(h.Flow.SrcPort); found {
 		return c.Flows[i].Spec.Name, c.Flows[i].Spec.Hi, true
 	}
 	return "", false, false

@@ -234,19 +234,11 @@ func (s *Switch) addPort(name string, link *par.Link, prop sim.Time) *Port {
 // destination port (the globally unique flow identity — container IPs
 // repeat across hosts, ports never do).
 func classify(snap *Snapshot, frame []byte) (Route, bool) {
-	inner := frame
-	if pkt.IsVXLAN(frame) {
-		_, in, err := pkt.Decapsulate(frame)
-		if err != nil {
-			return Route{}, false
-		}
-		inner = in
-	}
-	fl, err := pkt.ParseFlow(inner)
+	h, err := pkt.Parse(frame)
 	if err != nil {
 		return Route{}, false
 	}
-	return snap.Lookup(fl.DstPort)
+	return snap.Lookup(h.Flow.DstPort)
 }
 
 // Receive handles one frame arriving at the switch at time at (event

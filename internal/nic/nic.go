@@ -194,7 +194,7 @@ func (n *NIC) DMA(now sim.Time, frame []byte) {
 		// Hardware flow steering: classify before ring placement. The
 		// lookup itself costs no host CPU — that is the whole point of
 		// pushing it into the NIC.
-		highRing = n.classify(frame, skb)
+		highRing = n.classify(skb)
 	}
 	enqueued := false
 	if highRing {
@@ -208,7 +208,7 @@ func (n *NIC) DMA(now sim.Time, frame []byte) {
 			// classifies only the arriving frame and treats every
 			// unclassified resident as sheddable.
 			if !n.cfg.PriorityRings {
-				n.classify(frame, skb)
+				n.classify(skb)
 			}
 			if skb.Priority > 0 {
 				if victim := n.Dev.LowQ.EvictLowPrio(); victim != nil {
@@ -262,38 +262,21 @@ func (n *NIC) DMA(now sim.Time, frame []byte) {
 	}
 }
 
-// classify runs priority classification against the wire frame and stamps
-// the SKB, reporting whether the packet classified high. Both hardware
-// flow steering (PriorityRings) and the shed policy's admission check use
-// it; handle()'s software classification is idempotent with it.
-func (n *NIC) classify(frame []byte, skb *pkt.SKB) bool {
-	inner, ok := innerFrame(frame)
-	if !ok {
+// classify runs priority classification against the received frame and
+// stamps the SKB, reporting whether the packet classified high. Both
+// hardware flow steering (PriorityRings) and the shed policy's admission
+// check use it; the headers it parses are the ones handle() reads, and
+// handle()'s software classification is idempotent with it.
+func (n *NIC) classify(skb *pkt.SKB) bool {
+	if skb.ParseHeaders() != nil {
 		return false
 	}
-	flow, err := pkt.ParseFlow(inner)
-	if err != nil {
-		return false
-	}
-	if lvl := n.db.ClassifyLevel(flow); lvl > 0 {
+	if lvl := n.db.ClassifyLevel(skb.Flow); lvl > 0 {
 		skb.Priority = lvl
 		skb.HighPriority = true
 		return true
 	}
 	return false
-}
-
-// innerFrame strips VXLAN encapsulation for classification, returning the
-// frame whose flow identifies the application.
-func innerFrame(frame []byte) ([]byte, bool) {
-	if !pkt.IsVXLAN(frame) {
-		return frame, true
-	}
-	_, inner, err := pkt.Decapsulate(frame)
-	if err != nil {
-		return nil, false
-	}
-	return inner, true
 }
 
 // fireHighIRQ raises an interrupt for the high-priority ring, telling the
@@ -377,25 +360,12 @@ func (n *NIC) SpuriousIRQ(now sim.Time) {
 func (n *NIC) handle(now sim.Time, skb *pkt.SKB) netdev.Result {
 	// Identify the flow this packet belongs to. For VXLAN traffic the
 	// priority database is matched against the *inner* flow — that is
-	// what identifies the container application (§IV-A).
-	encapsulated := pkt.IsVXLAN(skb.Data)
-	var inner []byte
-	if encapsulated {
-		vni, in, err := pkt.Decapsulate(skb.Data)
-		if err != nil {
-			return netdev.Result{Verdict: netdev.VerdictDrop, Cost: n.costs.NICPacket}
-		}
-		_ = vni // a single-VNI fabric; multi-VNI demux lives in the bridge FDB
-		inner = in
-	} else {
-		inner = skb.Data
-	}
-	flow, ferr := pkt.ParseFlow(inner)
-	if ferr != nil {
+	// what identifies the container application (§IV-A). A single-VNI
+	// fabric: multi-VNI demux lives in the bridge FDB.
+	if skb.ParseHeaders() != nil {
 		return netdev.Result{Verdict: netdev.VerdictDrop, Cost: n.costs.NICPacket}
 	}
-	skb.Flow = flow
-	skb.Encapsulated = encapsulated
+	flow := skb.Flow
 	// Priority classification happens exactly once, at SKB allocation in
 	// the physical device's poll context. (With PriorityRings the NIC has
 	// already classified in hardware; the software check is idempotent.)
@@ -428,13 +398,12 @@ func (n *NIC) handle(now sim.Time, skb *pkt.SKB) netdev.Result {
 		n.groHead = nil
 	}
 
-	if encapsulated {
+	if skb.Encapsulated {
 		if n.bridge == nil {
 			return netdev.Result{Verdict: netdev.VerdictDrop, Cost: n.costs.NICPacket}
 		}
 		// Strip the outer headers: the inner frame proceeds to stage 2.
-		skb.Data = inner
-		skb.Encapsulated = false
+		skb.Decap()
 		return netdev.Result{Verdict: netdev.VerdictForward, Cost: n.costs.NICPacket, Next: n.bridge}
 	}
 

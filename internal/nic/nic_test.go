@@ -376,3 +376,56 @@ func TestPriorityRingsGarbageGoesLow(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHandleShortTCPDrops is the regression for a TCP frame with a valid
+// checksum whose IPv4 total length (30) is shorter than its IP and TCP
+// headers: stage 1 used to accept it and socket delivery then sliced past
+// the datagram and panicked. With a listener on its port it is dropped.
+func TestHandleShortTCPDrops(t *testing.T) {
+	eng := sim.NewEngine(1)
+	costs := netdev.DefaultCosts()
+	tbl := socket.NewTable("host")
+	if _, err := tbl.Bind(pkt.ProtoTCP, 5201, nil, socket.AppFunc{}, 0); err != nil {
+		t.Fatal(err)
+	}
+	n := New(eng, &fakeSched{}, costs, prio.NewDB(), tbl, Config{Name: "eth0", HostIP: hostIP})
+	frame := pkt.BuildTCPFrame(pkt.TCPFrameSpec{
+		SrcMAC: peerMAC, DstMAC: hostMAC, SrcIP: peerIP, DstIP: hostIP,
+		SrcPort: 5001, DstPort: 5201, Flags: pkt.TCPAck,
+	})
+	ip, err := pkt.ParseIPv4(frame[pkt.EthHeaderLen:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ip.TotalLen = 30
+	pkt.PutIPv4(frame[pkt.EthHeaderLen:], ip)
+	if res := n.handle(0, &pkt.SKB{Data: frame, GROSegs: 1}); res.Verdict != netdev.VerdictDrop {
+		t.Fatalf("verdict = %v, want drop", res.Verdict)
+	}
+}
+
+// TestPriorityRingsParseOnce checks that the headers hardware
+// classification parses at DMA are the ones stage 1 uses: handle() does
+// not parse the frame again.
+func TestPriorityRingsParseOnce(t *testing.T) {
+	eng, _, n, db, br := newNIC(t, Config{PriorityRings: true})
+	db.Add(prio.Rule{IP: ctrAIP, Port: 11211})
+	eng.At(0, func() {
+		n.DMA(0, overlayFrame(1000, []byte("req")))
+		s := n.Dev.HighQ.Peek()
+		if s == nil {
+			t.Fatal("high frame not in high ring")
+		}
+		// Break the outer IPv4 checksum: a second parse would drop.
+		s.Data[pkt.EthHeaderLen+10] ^= 0xff
+		if res := n.handle(0, s); res.Verdict != netdev.VerdictForward || res.Next != br {
+			t.Errorf("handle re-parsed the DMA-classified frame: %+v", res)
+		}
+		if string(s.Payload) != "req" || s.Flow.DstPort != 11211 {
+			t.Errorf("cached headers lost: flow %v payload %q", s.Flow, s.Payload)
+		}
+	})
+	if err := eng.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+}

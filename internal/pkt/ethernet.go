@@ -39,11 +39,12 @@ func PutEthernet(b []byte, h EthernetHeader) int {
 // stay cheap enough for ParseEthernet to inline into every stage.
 var errEthernetShort = errors.New("pkt: ethernet frame too short")
 
-// ParseEthernet decodes an Ethernet II header from the start of b. Every
-// stage re-reads the header it needs rather than trusting upstream state
-// (exactly like the kernel), so this is among the hottest functions in the
-// simulator: the success path is small enough to inline, and the array
-// conversions compile to direct loads instead of copies.
+// ParseEthernet decodes an Ethernet II header from the start of b. The
+// bridge and veth stages read the destination MAC through it for FDB and
+// endpoint lookup (the rest of the headers come from the SKB's one parse,
+// as the kernel reads skb->network_header rather than re-parsing), so the
+// success path is kept small enough to inline, and the array conversions
+// compile to direct loads instead of copies.
 func ParseEthernet(b []byte) (EthernetHeader, error) {
 	if len(b) < EthHeaderLen {
 		return EthernetHeader{}, errEthernetShort

@@ -152,7 +152,7 @@ func FuzzParseTCP(f *testing.F) {
 // must ship at least the generator's seeds so `go test` (without -fuzz)
 // always replays them.
 func TestFuzzCorpusCommitted(t *testing.T) {
-	for _, target := range []string{"FuzzDecapsulate", "FuzzParseIPv4", "FuzzParseUDP", "FuzzParseTCP"} {
+	for _, target := range []string{"FuzzDecapsulate", "FuzzParseIPv4", "FuzzParseUDP", "FuzzParseTCP", "FuzzParse"} {
 		dir := "testdata/fuzz/" + target
 		entries, err := os.ReadDir(dir)
 		if err != nil || len(entries) == 0 {

@@ -36,6 +36,10 @@ func main() {
 		SrcPort: 40000, DstPort: 5201, Seq: 1, Ack: 2, Flags: pkt.TCPAck,
 	})
 
+	shortTCP := append([]byte(nil), tcp...) // IPv4 total length 30 < IP+TCP headers
+	ip, _ := pkt.ParseIPv4(shortTCP[pkt.EthHeaderLen:])
+	ip.TotalLen = 30
+	pkt.PutIPv4(shortTCP[pkt.EthHeaderLen:], ip)
 	flip := func(b []byte, bit int) []byte {
 		m := append([]byte(nil), b...)
 		m[bit/8] ^= 1 << (bit % 8)
@@ -51,6 +55,16 @@ func main() {
 			flip(outer, 12*8),                                     // corrupted outer ethertype
 			flip(outer, (pkt.EthHeaderLen+2)*8),                   // corrupted outer IP total length
 			flip(outer, (pkt.EthHeaderLen+pkt.IPv4HeaderLen+4)*8), // corrupted UDP length
+		},
+		"FuzzParse": {
+			outer,                                 // overlay UDP: accepting path
+			inner,                                 // plain UDP
+			tcp,                                   // plain TCP
+			pkt.Encapsulate(pkt.VXLANSpec{}, tcp), // overlay TCP
+			shortTCP,                              // TCP total length shorter than its headers
+			outer[:len(outer)-10],                 // truncated inner frame
+			flip(outer, (pkt.EthHeaderLen+pkt.IPv4HeaderLen+pkt.UDPHeaderLen)*8+3), // VXLAN I flag cleared
+			flip(outer, (pkt.VXLANOverhead+pkt.EthHeaderLen+10)*8),                 // inner IPv4 checksum
 		},
 		"FuzzParseIPv4": {
 			inner[pkt.EthHeaderLen:],

@@ -30,34 +30,11 @@ func ParseProbe(payload []byte) (seq uint64, sentAt sim.Time, err error) {
 }
 
 // TransportPayload returns the application payload of a plain (already
-// decapsulated) UDP or TCP frame.
+// decapsulated) UDP or TCP frame, with Parse's checks of the plain frame.
 func TransportPayload(frame []byte) ([]byte, error) {
-	eth, err := ParseEthernet(frame)
-	if err != nil {
+	h := Headers{InnerEnd: len(frame)}
+	if err := h.parseInner(frame); err != nil {
 		return nil, err
 	}
-	if eth.EtherType != EtherTypeIPv4 {
-		return nil, fmt.Errorf("pkt: no transport payload in ethertype 0x%04x", eth.EtherType)
-	}
-	ip, err := ParseIPv4(frame[EthHeaderLen:])
-	if err != nil {
-		return nil, err
-	}
-	tOff := EthHeaderLen + IPv4HeaderLen
-	switch ip.Protocol {
-	case ProtoUDP:
-		u, err := ParseUDP(frame[tOff:])
-		if err != nil {
-			return nil, err
-		}
-		return frame[tOff+UDPHeaderLen : tOff+int(u.Length)], nil
-	case ProtoTCP:
-		end := EthHeaderLen + int(ip.TotalLen)
-		if end > len(frame) {
-			end = len(frame)
-		}
-		return frame[tOff+TCPHeaderLen : end], nil
-	default:
-		return nil, fmt.Errorf("pkt: protocol %d has no transport payload", ip.Protocol)
-	}
+	return h.Payload(frame), nil
 }

@@ -147,10 +147,11 @@ func (s *SKB) Free() {
 func (s *SKB) Gen() uint32 { return s.gen }
 
 // SetFrame attaches a pooled frame buffer as the SKB's backing storage,
-// transferring its ownership to the SKB.
+// transferring its ownership to the SKB. The new bytes are unparsed.
 func (s *SKB) SetFrame(f *Frame) {
 	s.frame = f
 	s.Data = f.B
+	s.parsed = false
 }
 
 // TakeFrame detaches and returns the backing frame buffer (nil when the SKB

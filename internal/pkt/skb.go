@@ -1,6 +1,7 @@
 package pkt
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"prism/internal/sim"
@@ -12,7 +13,7 @@ import (
 // per-packet state (notably the PRISM priority bit, §IV-A) is computed once
 // and reused.
 type SKB struct {
-	// Data holds the frame as currently visible to the stack. Decapsulation
+	// Data holds the frame as currently visible to the stack. Decap
 	// re-slices it; the outer headers are "stripped" without copying.
 	Data []byte
 
@@ -26,12 +27,12 @@ type SKB struct {
 	// HighPriority == (Priority > 0).
 	Priority int
 
-	// Flow is the flow key of the *innermost* parsed headers so far; updated
-	// after decapsulation. Zero until first parse.
+	// Flow is the inner transport flow, filled by ParseHeaders. Zero until
+	// the frame is parsed.
 	Flow FlowKey
 
-	// Encapsulated marks a frame recognised as VXLAN during stage-1
-	// processing (set before decapsulation, cleared after).
+	// Encapsulated marks a frame ParseHeaders recognised as VXLAN; Decap
+	// clears it when it strips the outer headers.
 	Encapsulated bool
 
 	// Arrived is when the NIC DMA'd the frame into the ring.
@@ -53,10 +54,9 @@ type SKB struct {
 	// once — the whole point of GRO.
 	GROSegs int
 
-	// Payload caches the TransportPayload slice of Data, set by the
-	// delivery stage when it validates the frame so the socket does not
-	// re-parse the headers. It aliases Data: valid exactly as long as the
-	// frame is, cleared when the SKB is recycled.
+	// Payload is the inner frame's transport payload, filled by
+	// ParseHeaders. It aliases Data: valid exactly as long as the frame
+	// is, cleared when the SKB is recycled.
 	Payload []byte
 
 	// Pooling state (see pool.go). frame is the pooled buffer backing
@@ -66,6 +66,35 @@ type SKB struct {
 	owner  *SKBPool
 	gen    uint32
 	pooled bool
+	// parsed marks Flow, Encapsulated and Payload as filled from Data.
+	parsed bool
+}
+
+// ParseHeaders parses Data with Parse on the first call and caches the
+// result, as the kernel sets skb->network_header once at receive; later
+// calls return at once. Every stage reads headers through it: frame bytes
+// never change after DMA. Failures are not cached (the caller drops).
+func (s *SKB) ParseHeaders() error {
+	if s.parsed {
+		return nil
+	}
+	h, err := Parse(s.Data)
+	if err != nil {
+		return err
+	}
+	s.parsed = true
+	s.Flow, s.Encapsulated = h.Flow, h.Encapsulated
+	s.Payload = h.Payload(s.Data)
+	return nil
+}
+
+// Decap strips the outer headers of a parsed encapsulated frame, ending the
+// inner frame where the validated outer UDP datagram ends. The cache stays
+// valid: Payload aliases the same bytes.
+func (s *SKB) Decap() {
+	const udpOff = EthHeaderLen + IPv4HeaderLen
+	s.Data = s.Data[VXLANOverhead : udpOff+int(binary.BigEndian.Uint16(s.Data[udpOff+4:]))]
+	s.Encapsulated = false
 }
 
 // Len returns the current frame length in bytes.
@@ -205,47 +234,22 @@ func EncapInto(dst []byte, sp VXLANSpec, inner []byte) []byte {
 }
 
 // Decapsulate validates the outer Ethernet+IPv4+UDP+VXLAN headers of frame
-// and returns the VNI and the inner Ethernet frame (a sub-slice, no copy).
+// with Parse's checks and returns the VNI and the inner Ethernet frame (a
+// sub-slice, no copy).
 func Decapsulate(frame []byte) (vni uint32, inner []byte, err error) {
-	eth, err := ParseEthernet(frame)
+	if !IsVXLAN(frame) {
+		return 0, nil, errParseNotVXLAN
+	}
+	end, err := vxlanInnerEnd(frame)
 	if err != nil {
 		return 0, nil, err
 	}
-	if eth.EtherType != EtherTypeIPv4 {
-		return 0, nil, fmt.Errorf("pkt: outer ethertype 0x%04x is not IPv4", eth.EtherType)
-	}
-	ip, err := ParseIPv4(frame[EthHeaderLen:])
-	if err != nil {
-		return 0, nil, err
-	}
-	if ip.Protocol != ProtoUDP {
-		return 0, nil, fmt.Errorf("pkt: outer protocol %d is not UDP", ip.Protocol)
-	}
-	udpOff := EthHeaderLen + IPv4HeaderLen
-	udp, err := ParseUDP(frame[udpOff:])
-	if err != nil {
-		return 0, nil, err
-	}
-	if udp.DstPort != VXLANPort {
-		return 0, nil, fmt.Errorf("pkt: outer UDP port %d is not VXLAN", udp.DstPort)
-	}
-	if int(udp.Length) < UDPHeaderLen+VXLANHeaderLen {
-		return 0, nil, fmt.Errorf("pkt: outer UDP length %d too short for VXLAN", udp.Length)
-	}
-	vxOff := udpOff + UDPHeaderLen
-	vx, err := ParseVXLAN(frame[vxOff:])
-	if err != nil {
-		return 0, nil, err
-	}
-	// Bound the inner frame by the outer UDP datagram length, not the wire
-	// frame length: a minimum-size Ethernet frame arrives padded to 60
-	// bytes, and the pad after the datagram is not part of the inner frame.
-	return vx.VNI, frame[vxOff+VXLANHeaderLen : udpOff+int(udp.Length)], nil
+	return binary.BigEndian.Uint32(frame[VXLANOverhead-4:]) >> 8, frame[VXLANOverhead:end], nil
 }
 
 // IsVXLAN reports whether frame looks like a VXLAN-encapsulated packet,
-// without fully validating it. This is the cheap early check the NIC-stage
-// poll uses to route the frame to the tunnel endpoint.
+// without fully validating it. This is the cheap early check Parse uses to
+// decide whether a frame goes to the tunnel endpoint.
 func IsVXLAN(frame []byte) bool {
 	if len(frame) < EthHeaderLen+IPv4HeaderLen+UDPHeaderLen+VXLANHeaderLen {
 		return false
@@ -262,37 +266,11 @@ func IsVXLAN(frame []byte) bool {
 	return dport == VXLANPort
 }
 
-// ParseFlow extracts the transport flow key from an Ethernet frame. For
+// ParseFlow extracts the transport flow key from a plain (not
+// decapsulated) Ethernet frame with Parse's checks of the plain frame. For
 // non-IPv4 or non-UDP/TCP frames it returns an error.
 func ParseFlow(frame []byte) (FlowKey, error) {
-	eth, err := ParseEthernet(frame)
-	if err != nil {
-		return FlowKey{}, err
-	}
-	if eth.EtherType != EtherTypeIPv4 {
-		return FlowKey{}, fmt.Errorf("pkt: ethertype 0x%04x has no flow key", eth.EtherType)
-	}
-	ip, err := ParseIPv4(frame[EthHeaderLen:])
-	if err != nil {
-		return FlowKey{}, err
-	}
-	k := FlowKey{SrcIP: ip.Src, DstIP: ip.Dst, Proto: ip.Protocol}
-	tOff := EthHeaderLen + IPv4HeaderLen
-	switch ip.Protocol {
-	case ProtoUDP:
-		u, err := ParseUDP(frame[tOff:])
-		if err != nil {
-			return FlowKey{}, err
-		}
-		k.SrcPort, k.DstPort = u.SrcPort, u.DstPort
-	case ProtoTCP:
-		t, err := ParseTCP(frame[tOff:])
-		if err != nil {
-			return FlowKey{}, err
-		}
-		k.SrcPort, k.DstPort = t.SrcPort, t.DstPort
-	default:
-		return FlowKey{}, fmt.Errorf("pkt: protocol %d has no flow key", ip.Protocol)
-	}
-	return k, nil
+	h := Headers{InnerEnd: len(frame)}
+	err := h.parseInner(frame)
+	return h.Flow, err
 }

@@ -31,8 +31,8 @@ func PutUDP(b []byte, h UDPHeader) int {
 	return UDPHeaderLen
 }
 
-// Static sentinels keep ParseUDP inlinable into the per-hop flow and
-// payload extraction paths.
+// Static sentinels keep ParseUDP allocation-free on rejected input and
+// small enough to inline.
 var (
 	errUDPShort     = errors.New("pkt: udp datagram too short")
 	errUDPBadLength = errors.New("pkt: udp bad length")

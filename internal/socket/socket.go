@@ -70,22 +70,12 @@ type pendingMsg struct {
 func (s *Socket) Deliver(now sim.Time, m Message) bool { return s.push(now, m, nil) }
 
 // DeliverSKB implements netdev.Sink: the softirq hands the packet over at
-// its completion time, transferring SKB ownership. The frame buffer backs
-// the message payload until OnMessage returns; the SKB itself is freed
-// here.
+// its completion time, transferring SKB ownership; DeliverToTable parsed
+// it. The frame buffer backs the message payload until OnMessage returns;
+// the SKB itself is freed here.
 func (s *Socket) DeliverSKB(at sim.Time, skb *pkt.SKB) {
-	payload := skb.Payload
-	if payload == nil {
-		var err error
-		payload, err = pkt.TransportPayload(skb.Data)
-		if err != nil {
-			// The handler validated the frame before returning VerdictDeliver;
-			// failing now means the bytes changed in flight (use-after-put).
-			panic("socket: payload vanished between handler and delivery: " + err.Error())
-		}
-	}
 	m := Message{
-		Payload:      payload,
+		Payload:      skb.Payload,
 		From:         skb.Flow,
 		Arrived:      skb.Arrived,
 		Delivered:    at,

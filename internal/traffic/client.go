@@ -55,29 +55,15 @@ func (c *Client) Register(port uint16, fn func(now sim.Time, payload []byte, flo
 func (c *Client) Deliver(now sim.Time, frame []byte) { c.rx(now, frame) }
 
 func (c *Client) rx(now sim.Time, frame []byte) {
-	inner := frame
-	if pkt.IsVXLAN(frame) {
-		_, in, err := pkt.Decapsulate(frame)
-		if err != nil {
-			c.Unrouted++
-			return
-		}
-		inner = in
-	}
-	flow, err := pkt.ParseFlow(inner)
+	hdr, err := pkt.Parse(frame)
 	if err != nil {
 		c.Unrouted++
 		return
 	}
-	h := c.handlers[flow.DstPort]
+	h := c.handlers[hdr.Flow.DstPort]
 	if h == nil {
 		c.Unrouted++
 		return
 	}
-	payload, err := pkt.TransportPayload(inner)
-	if err != nil {
-		c.Unrouted++
-		return
-	}
-	h(now, payload, flow)
+	h(now, hdr.Payload(frame), hdr.Flow)
 }
