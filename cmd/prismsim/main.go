@@ -263,6 +263,10 @@ func main() {
 		os.Exit(2)
 	}
 
+	if *burst < 1 {
+		reject(fmt.Errorf("-burst %d: must be >= 1", *burst))
+	}
+
 	p := experiments.Default()
 	p.Seed = *seed
 	p.Duration = sim.Duration(*duration)

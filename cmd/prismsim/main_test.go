@@ -59,36 +59,64 @@ func TestSelectExperiments(t *testing.T) {
 	}
 }
 
+// TestMain lets a test re-run the real main in a child process: when
+// PRISMSIM_TEST_ARGS is set, the test binary is prismsim with those
+// arguments.
+func TestMain(m *testing.M) {
+	if args := os.Getenv("PRISMSIM_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"prismsim"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// wantExitTwo runs prismsim with args in a child process and requires
+// exit status 2 with one "prismsim: " error line on stderr and no panic;
+// it returns that line.
+func wantExitTwo(t *testing.T, args string) string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "PRISMSIM_TEST_ARGS="+args)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("prismsim %s: got %v, want exit status 2\nstderr: %s", args, err, stderr.String())
+	}
+	msg := stderr.String()
+	if strings.Contains(msg, "panic:") || strings.Contains(msg, "goroutine") {
+		t.Fatalf("prismsim %s panicked:\n%s", args, msg)
+	}
+	if lines := strings.Count(strings.TrimSpace(msg), "\n"); lines != 0 || !strings.HasPrefix(msg, "prismsim: ") {
+		t.Fatalf("prismsim %s: want one prismsim: error line, got:\n%s", args, msg)
+	}
+	return msg
+}
+
 // TestInfeasibleClusterExitsTwo runs the real main in a child process on
 // cluster shapes that cannot be built or recovered: too many containers
 // for two hosts, and a one-host failover with no survivor to take the
 // crashed host's containers. Each must exit 2 with a one-line error, the
 // same contract as a rejected scenario file, and never panic.
 func TestInfeasibleClusterExitsTwo(t *testing.T) {
-	if args := os.Getenv("PRISMSIM_TEST_ARGS"); args != "" {
-		os.Args = append([]string{"prismsim"}, strings.Fields(args)...)
-		main()
-		os.Exit(0)
-	}
 	for _, args := range []string{
 		"-exp cluster -hosts 2 -containers 1000 -duration 20ms -warmup 5ms",
 		"-exp failover -hosts 1 -containers 10 -duration 20ms -warmup 5ms",
 	} {
-		cmd := exec.Command(os.Args[0], "-test.run=^TestInfeasibleClusterExitsTwo$")
-		cmd.Env = append(os.Environ(), "PRISMSIM_TEST_ARGS="+args)
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		var exit *exec.ExitError
-		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Fatalf("prismsim %s: got %v, want exit status 2\nstderr: %s", args, err, stderr.String())
-		}
-		msg := stderr.String()
-		if strings.Contains(msg, "panic:") || strings.Contains(msg, "goroutine") {
-			t.Fatalf("prismsim %s panicked:\n%s", args, msg)
-		}
-		if lines := strings.Count(strings.TrimSpace(msg), "\n"); lines != 0 || !strings.HasPrefix(msg, "prismsim: ") {
-			t.Fatalf("prismsim %s: want one prismsim: error line, got:\n%s", args, msg)
+		wantExitTwo(t, args)
+	}
+}
+
+// TestBadBurstExitsTwo: a background burst below one frame is rejected up
+// front: such a flood would send nothing yet re-arm itself every
+// nanosecond.
+func TestBadBurstExitsTwo(t *testing.T) {
+	for _, burst := range []string{"0", "-3"} {
+		msg := wantExitTwo(t, "-exp fig3 -duration 20ms -warmup 2ms -burst "+burst)
+		if !strings.Contains(msg, "-burst "+burst+": must be >= 1") {
+			t.Errorf("-burst %s: error does not name the flag: %s", burst, msg)
 		}
 	}
 }

@@ -214,7 +214,7 @@ func (n *NIC) DMA(now sim.Time, frame []byte) {
 				if victim := n.Dev.LowQ.EvictLowPrio(); victim != nil {
 					n.ShedDrops++
 					if n.obs != nil {
-						n.obs.Drop(now, obs.StageShed, victim.ID, victim.Priority)
+						n.obs.Drop(now, obs.StageShed, victim)
 					}
 					victim.Free()
 				}
@@ -225,14 +225,14 @@ func (n *NIC) DMA(now sim.Time, frame []byte) {
 	if !enqueued {
 		// Ring overrun; drop counted by the queue.
 		if n.obs != nil {
-			n.obs.Drop(now, obs.StageDMA, skb.ID, skb.Priority)
+			n.obs.Drop(now, obs.StageDMA, skb)
 		}
 		skb.Free()
 		return
 	}
 	n.DMAd++
 	if n.obs != nil {
-		n.obs.DMA(now, skb.ID, skb.Priority)
+		n.obs.DMA(now, skb)
 	}
 	if highRing && !n.Dev.InPollList {
 		// High-ring packets interrupt immediately, bypassing moderation.

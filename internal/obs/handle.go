@@ -1,6 +1,9 @@
 package obs
 
-import "prism/internal/sim"
+import (
+	"prism/internal/pkt"
+	"prism/internal/sim"
+)
 
 // Dev is a pre-resolved handle onto one device's series in one pipeline,
 // and the home of every per-packet entry point (DMA, IRQ, Span, Deliver,
@@ -110,74 +113,90 @@ func (d *Dev) hist(slot **HistogramMetric, name, stage string, prio int) *Histog
 }
 
 // DMA records a frame entering the RX descriptor ring. It opens the
-// packet's lifecycle: the gap to the first stage span is the ring wait.
-func (d *Dev) DMA(now sim.Time, pkt uint64, prio int) {
-	d.p.T.add(Event{Kind: KindInstant, Stage: StageDMA, Device: d.name, Pkt: pkt, Priority: prio, Start: now, End: now})
+// packet's wait cursor: the gap to the first stage span is the ring wait.
+func (d *Dev) DMA(now sim.Time, skb *pkt.SKB) {
+	p := d.p
+	p.T.add(KindInstant, StageDMA, d.name, skb.ID, skb.Priority, now, now)
 	d.counter(&d.at(StageDMA, 0).dma, "prism_dma_frames_total", StageDMA, 0).Add(1)
-	d.p.lastAt[pkt] = now
+	p.advance(skb, now)
 }
 
 // IRQ records a hardware interrupt raised by the device.
 func (d *Dev) IRQ(now sim.Time) {
-	d.p.T.add(Event{Kind: KindInstant, Stage: StageIRQ, Device: d.name, Pkt: NoPacket, Start: now, End: now})
+	d.p.T.add(KindInstant, StageIRQ, d.name, NoPacket, 0, now, now)
 	d.counter(&d.at(StageIRQ, 0).irqs, "prism_irqs_total", StageIRQ, 0).Add(1)
 }
 
 // Span records stage processing one packet over [start, end]. The wait
 // histogram receives the gap since the packet's previous lifecycle event
-// (its time queued before this stage); the service histogram receives
-// the span length.
-func (d *Dev) Span(stage string, pkt uint64, prio int, start, end sim.Time) {
-	p := d.p
-	p.T.add(Event{Kind: KindSpan, Stage: stage, Device: d.name, Pkt: pkt, Priority: prio, Start: start, End: end})
+// (its time queued before this stage), when its cursor is open; the
+// service histogram receives the span length. The cursor then opens or
+// advances to end.
+func (d *Dev) Span(stage string, skb *pkt.SKB, start, end sim.Time) {
+	p, prio := d.p, skb.Priority
+	p.T.add(KindSpan, stage, d.name, skb.ID, prio, start, end)
 	s := d.at(stage, prio)
 	d.counter(&s.packets, "prism_stage_packets_total", stage, prio).Add(1)
 	d.hist(&s.service, "prism_stage_service_ns", stage, prio).Observe(end - start)
-	if last, ok := p.lastAt[pkt]; ok {
+	if last, open := skb.WaitCursor(); open {
 		d.hist(&s.wait, "prism_stage_wait_ns", stage, prio).Observe(start - last)
 	}
-	p.lastAt[pkt] = end
+	p.advance(skb, end)
 }
 
 // Deliver records the payload reaching a socket buffer at time now, and
-// closes the packet's lifecycle. arrived is the packet's NIC-ring entry
-// time; the difference feeds the end-to-end latency histogram.
-func (d *Dev) Deliver(now sim.Time, pkt uint64, prio int, arrived sim.Time) {
-	p := d.p
-	p.T.add(Event{Kind: KindInstant, Stage: StageSocket, Device: d.name, Pkt: pkt, Priority: prio, Start: now, End: now})
+// closes the packet's wait cursor. The gap from the packet's NIC-ring
+// entry (skb.Arrived) feeds the end-to-end latency histogram.
+func (d *Dev) Deliver(now sim.Time, skb *pkt.SKB) {
+	p, prio := d.p, skb.Priority
+	p.T.add(KindInstant, StageSocket, d.name, skb.ID, prio, now, now)
 	s := d.at(StageSocket, prio)
 	d.counter(&s.delivered, "prism_delivered_total", StageSocket, prio).Add(1)
-	if last, ok := p.lastAt[pkt]; ok {
+	if last, open := skb.WaitCursor(); open {
 		d.hist(&s.wait, "prism_stage_wait_ns", StageSocket, prio).Observe(now - last)
 	}
-	p.root.hist(&p.root.at("", prio).e2e, "prism_e2e_latency_ns", "", prio).Observe(now - arrived)
-	delete(p.lastAt, pkt)
+	p.root.hist(&p.root.at("", prio).e2e, "prism_e2e_latency_ns", "", prio).Observe(now - skb.Arrived)
+	p.close(skb)
 }
 
 // Drop records a packet discarded at a stage (handler verdict, queue
-// overrun, rcvbuf overflow, shed) and closes its lifecycle.
-func (d *Dev) Drop(now sim.Time, stage string, pkt uint64, prio int) {
-	d.p.T.add(Event{Kind: KindInstant, Stage: StageDrop, Device: d.name, Pkt: pkt, Priority: prio, Start: now, End: now})
-	d.counter(&d.at(stage, prio).dropped, "prism_dropped_total", stage, prio).Add(1)
-	delete(d.p.lastAt, pkt)
+// overrun, rcvbuf overflow, shed) and closes its wait cursor.
+func (d *Dev) Drop(now sim.Time, stage string, skb *pkt.SKB) {
+	d.p.T.add(KindInstant, StageDrop, d.name, skb.ID, skb.Priority, now, now)
+	d.counter(&d.at(stage, skb.Priority).dropped, "prism_dropped_total", stage, skb.Priority).Add(1)
+	d.p.close(skb)
 }
 
 // Absorbed records a frame merged into an earlier SKB by GRO; the frame's
 // own lifecycle ends here (the super-SKB carries on).
-func (d *Dev) Absorbed(now sim.Time, pkt uint64, prio int) {
-	d.p.T.add(Event{Kind: KindInstant, Stage: StageGRO, Device: d.name, Pkt: pkt, Priority: prio, Start: now, End: now})
+func (d *Dev) Absorbed(now sim.Time, skb *pkt.SKB) {
+	d.p.T.add(KindInstant, StageGRO, d.name, skb.ID, skb.Priority, now, now)
 	d.counter(&d.at(StageGRO, 0).gro, "prism_gro_absorbed_total", StageGRO, 0).Add(1)
-	delete(d.p.lastAt, pkt)
+	d.p.close(skb)
+}
+
+// advance opens skb's wait cursor, or moves an open one, to t.
+func (p *Pipeline) advance(skb *pkt.SKB, t sim.Time) {
+	if _, open := skb.WaitCursor(); !open {
+		p.inFlight++
+	}
+	skb.SetWaitCursor(t)
+}
+
+// close ends skb's observed lifecycle.
+func (p *Pipeline) close(skb *pkt.SKB) {
+	if skb.CloseWaitCursor() {
+		p.inFlight--
+	}
 }
 
 // Fabric records the device — a switch egress port — forwarding a frame
 // over [start, end]: egress queue wait plus serialization onto the output
-// link. Unlike Span it does not touch the per-packet wait cursor: fabric
+// link. Unlike Span it does not touch a per-packet wait cursor: fabric
 // packet IDs are switch-local sequence numbers, not host SKB identities,
-// and a fabric frame never reaches Deliver on this pipeline, so threading
-// it through the cursor would leak an entry per frame.
+// and a fabric frame never reaches Deliver on this pipeline.
 func (d *Dev) Fabric(pkt uint64, prio int, start, end sim.Time) {
-	d.p.T.add(Event{Kind: KindSpan, Stage: StageFabric, Device: d.name, Pkt: pkt, Priority: prio, Start: start, End: end})
+	d.p.T.add(KindSpan, StageFabric, d.name, pkt, prio, start, end)
 	s := d.at(StageFabric, prio)
 	d.counter(&s.fabricFrames, "prism_fabric_frames_total", StageFabric, prio).Add(1)
 	d.hist(&s.residency, "prism_fabric_residency_ns", StageFabric, prio).Observe(end - start)
@@ -188,7 +207,7 @@ func (d *Dev) Fabric(pkt uint64, prio int, start, end sim.Time) {
 // the control-plane snapshot. reason becomes the stage label so drop
 // causes stay separable in merged exports.
 func (d *Dev) FabricDrop(now sim.Time, reason string, prio int) {
-	d.p.T.add(Event{Kind: KindInstant, Stage: StageDrop, Device: d.name, Pkt: NoPacket, Priority: prio, Start: now, End: now})
+	d.p.T.add(KindInstant, StageDrop, d.name, NoPacket, prio, now, now)
 	d.counter(&d.at(reason, prio).fabricDropped, "prism_fabric_dropped_total", reason, prio).Add(1)
 }
 

@@ -95,10 +95,10 @@ func (e Event) Time() sim.Time { return e.Start }
 func (e Event) Duration() sim.Time { return e.End - e.Start }
 
 // Pipeline is the per-engine-instance observability bundle: a Tracer for
-// the span stream and a Registry for metrics, plus the per-packet cursor
-// that turns lifecycle events into stage wait/service decompositions.
-// Recording goes through per-device handles (Dev), resolved once by each
-// instrumentation point.
+// the span stream and a Registry for metrics. Lifecycle events become
+// stage wait/service decompositions through a wait cursor each packet
+// carries on its SKB (pkt.SKB.WaitCursor). Recording goes through
+// per-device handles (Dev), resolved once by each instrumentation point.
 type Pipeline struct {
 	// Shard labels every metric this pipeline records; it identifies the
 	// collection domain (RSS shard, mode run) in merged exports. Set it
@@ -109,12 +109,9 @@ type Pipeline struct {
 	T *Tracer
 	M *Registry
 
-	// lastAt tracks, per in-flight packet, when its previous lifecycle
-	// event completed; the gap to the next stage's start is that stage's
-	// queue wait. Entries are removed at deliver/drop/absorb, so the map
-	// is bounded by the number of packets in flight (itself bounded by
-	// the device queue capacities).
-	lastAt map[uint64]sim.Time
+	// inFlight counts packets whose wait cursor (carried on the SKB, see
+	// Dev.Span) is open.
+	inFlight int
 
 	// devs holds the handle of every device resolved so far; root is the
 	// device-less handle (end-to-end latency, fault injections).
@@ -126,18 +123,17 @@ type Pipeline struct {
 // a default-capacity tracer and an empty registry.
 func NewPipeline(shard string) *Pipeline {
 	p := &Pipeline{
-		Shard:  shard,
-		T:      NewTracer(0),
-		M:      NewRegistry(),
-		lastAt: make(map[uint64]sim.Time),
-		devs:   make(map[string]*Dev),
+		Shard: shard,
+		T:     NewTracer(0),
+		M:     NewRegistry(),
+		devs:  make(map[string]*Dev),
 	}
 	p.root = p.Dev("")
 	return p
 }
 
 // InFlight reports how many packets have an open lifecycle (diagnostic).
-func (p *Pipeline) InFlight() int { return len(p.lastAt) }
+func (p *Pipeline) InFlight() int { return p.inFlight }
 
 // StageFabric is the datacenter fabric forwarding stage: a ToR or spine
 // switch carrying a frame between hosts (internal/cluster).
@@ -188,23 +184,30 @@ func (t *Tracer) SetSampling(n int) {
 	t.sampleEvery = uint64(n)
 }
 
-func (t *Tracer) add(ev Event) {
+// add records one event, writing its fields straight into the ring slot.
+func (t *Tracer) add(kind EventKind, stage, device string, pkt uint64, prio int, start, end sim.Time) {
 	if t == nil {
 		return
 	}
-	if t.sampleEvery > 1 && ev.Pkt != NoPacket && ev.Pkt%t.sampleEvery != 0 {
+	if t.sampleEvery > 1 && pkt != NoPacket && pkt%t.sampleEvery != 0 {
 		t.SampledOut++
 		return
 	}
-	ev.Seq = t.seq
-	t.seq++
-	if len(t.events) < t.capacity {
-		t.events = append(t.events, ev)
-		return
+	var ev *Event
+	if n := len(t.events); n < t.capacity {
+		t.events = append(t.events, Event{})
+		ev = &t.events[n]
+	} else {
+		ev = &t.events[t.head]
+		t.head++
+		if t.head == t.capacity {
+			t.head = 0
+		}
+		t.Overwritten++
 	}
-	t.events[t.head] = ev
-	t.head = (t.head + 1) % t.capacity
-	t.Overwritten++
+	ev.Seq, ev.Kind, ev.Stage, ev.Device = t.seq, kind, stage, device
+	ev.Pkt, ev.Priority, ev.Start, ev.End = pkt, prio, start, end
+	t.seq++
 }
 
 // Len returns the number of buffered events.

@@ -6,18 +6,31 @@ import (
 	"strings"
 	"testing"
 
+	"prism/internal/pkt"
 	"prism/internal/sim"
 )
+
+// skbOf returns an unpooled SKB with the given identity, as the NIC would
+// hand to DMA.
+func skbOf(id uint64, prio int, arrived sim.Time) *pkt.SKB {
+	return &pkt.SKB{ID: id, Priority: prio, Arrived: arrived}
+}
+
+// addEvent records ev through the tracer's field-wise add.
+func addEvent(tr *Tracer, ev Event) {
+	tr.add(ev.Kind, ev.Stage, ev.Device, ev.Pkt, ev.Priority, ev.Start, ev.End)
+}
 
 func TestPipelineLifecycle(t *testing.T) {
 	p := NewPipeline("s0")
 	// Packet 7: DMA at 100, NIC span [150, 180], bridge span [200, 220],
 	// delivered at 250.
-	p.Dev("eth0").DMA(100, 7, 1)
+	skb := skbOf(7, 1, 100)
+	p.Dev("eth0").DMA(100, skb)
 	p.Dev("eth0").IRQ(110)
-	p.Dev("eth0").Span(StageNIC, 7, 1, 150, 180)
-	p.Dev("br0").Span(StageBridge, 7, 1, 200, 220)
-	p.Dev("c0").Deliver(250, 7, 1, 100)
+	p.Dev("eth0").Span(StageNIC, skb, 150, 180)
+	p.Dev("br0").Span(StageBridge, skb, 200, 220)
+	p.Dev("c0").Deliver(250, skb)
 
 	if got := p.M.CounterValue("prism_dma_frames_total", Labels{}); got != 1 {
 		t.Errorf("dma counter = %d, want 1", got)
@@ -42,7 +55,7 @@ func TestPipelineLifecycle(t *testing.T) {
 	if e2e.Hist().Count() != 1 || e2e.Hist().Max() != 150 {
 		t.Errorf("e2e = %v, want 150", e2e.Hist().Max())
 	}
-	// Lifecycle closed: the cursor map must not leak.
+	// Lifecycle closed: no cursor left open.
 	if p.InFlight() != 0 {
 		t.Errorf("in-flight = %d after deliver, want 0", p.InFlight())
 	}
@@ -54,10 +67,11 @@ func TestPipelineLifecycle(t *testing.T) {
 
 func TestPipelineDropAndAbsorb(t *testing.T) {
 	p := NewPipeline("")
-	p.Dev("eth0").DMA(10, 1, 0)
-	p.Dev("eth0").Drop(20, StageNIC, 1, 0)
-	p.Dev("eth0").DMA(30, 2, 0)
-	p.Dev("eth0").Absorbed(40, 2, 0)
+	a, b := skbOf(1, 0, 10), skbOf(2, 0, 30)
+	p.Dev("eth0").DMA(10, a)
+	p.Dev("eth0").Drop(20, StageNIC, a)
+	p.Dev("eth0").DMA(30, b)
+	p.Dev("eth0").Absorbed(40, b)
 	if p.InFlight() != 0 {
 		t.Errorf("in-flight = %d, want 0", p.InFlight())
 	}
@@ -72,7 +86,7 @@ func TestPipelineDropAndAbsorb(t *testing.T) {
 func TestTracerRingBounded(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 10; i++ {
-		tr.add(Event{Stage: StageDMA, Pkt: uint64(i), Start: sim.Time(i)})
+		addEvent(tr, Event{Stage: StageDMA, Pkt: uint64(i), Start: sim.Time(i)})
 	}
 	if tr.Len() != 4 {
 		t.Fatalf("len = %d, want 4", tr.Len())
@@ -96,9 +110,9 @@ func TestTracerSampling(t *testing.T) {
 	tr := NewTracer(0)
 	tr.SetSampling(4)
 	for i := 0; i < 16; i++ {
-		tr.add(Event{Stage: StageNIC, Pkt: uint64(i), Start: sim.Time(i)})
+		addEvent(tr, Event{Stage: StageNIC, Pkt: uint64(i), Start: sim.Time(i)})
 	}
-	tr.add(Event{Stage: StageIRQ, Pkt: NoPacket, Start: 100}) // device events always kept
+	addEvent(tr, Event{Stage: StageIRQ, Pkt: NoPacket, Start: 100}) // device events always kept
 	if tr.Len() != 5 {
 		t.Errorf("len = %d, want 5 (pkts 0,4,8,12 + IRQ)", tr.Len())
 	}
@@ -106,7 +120,7 @@ func TestTracerSampling(t *testing.T) {
 		t.Errorf("sampled out = %d, want 12", tr.SampledOut)
 	}
 	tr.SetSampling(0) // disable
-	tr.add(Event{Stage: StageNIC, Pkt: 3, Start: 200})
+	addEvent(tr, Event{Stage: StageNIC, Pkt: 3, Start: 200})
 	if tr.Len() != 6 {
 		t.Errorf("len after disabling sampling = %d, want 6", tr.Len())
 	}
@@ -215,9 +229,10 @@ func TestMetricsJSONValid(t *testing.T) {
 
 func TestChromeTraceValid(t *testing.T) {
 	p := NewPipeline("vanilla")
-	p.Dev("eth0").DMA(1000, 0, 1)
-	p.Dev("eth0").Span(StageNIC, 0, 1, 2000, 3500)
-	p.Dev("c0").Deliver(5000, 0, 1, 1000)
+	skb := skbOf(0, 1, 1000)
+	p.Dev("eth0").DMA(1000, skb)
+	p.Dev("eth0").Span(StageNIC, skb, 2000, 3500)
+	p.Dev("c0").Deliver(5000, skb)
 	b, err := ChromeTrace(TraceProcess{Name: "vanilla", Events: p.T.Events()})
 	if err != nil {
 		t.Fatal(err)
@@ -251,12 +266,13 @@ func TestChromeTraceValid(t *testing.T) {
 func TestStageBreakdown(t *testing.T) {
 	p := NewPipeline("")
 	// Two packets through nic and bridge with known waits/services.
-	for pkt := uint64(0); pkt < 2; pkt++ {
-		base := sim.Time(pkt) * 1000
-		p.Dev("eth0").DMA(base, pkt, 0)
-		p.Dev("eth0").Span(StageNIC, pkt, 0, base+100, base+150)   // wait 100, svc 50
-		p.Dev("br0").Span(StageBridge, pkt, 0, base+200, base+220) // wait 50, svc 20
-		p.Dev("c0").Deliver(base+300, pkt, 0, base)
+	for id := uint64(0); id < 2; id++ {
+		base := sim.Time(id) * 1000
+		skb := skbOf(id, 0, base)
+		p.Dev("eth0").DMA(base, skb)
+		p.Dev("eth0").Span(StageNIC, skb, base+100, base+150)   // wait 100, svc 50
+		p.Dev("br0").Span(StageBridge, skb, base+200, base+220) // wait 50, svc 20
+		p.Dev("c0").Deliver(base+300, skb)
 	}
 	rows := StageBreakdown(p.M)
 	if len(rows) != 3 { // nic, bridge, socket (wait only)
@@ -308,13 +324,14 @@ func TestDevResolvesSeriesOnFirstUse(t *testing.T) {
 	if len(p.M.counters)+len(p.M.hists) != 0 {
 		t.Fatalf("resolving handles created %d series", len(p.M.counters)+len(p.M.hists))
 	}
-	br.Span(StageBridge, 9, 1, 10, 20) // no DMA: no wait sample
+	br.Span(StageBridge, skbOf(9, 1, 0), 10, 20) // no DMA: no wait sample
 	wait := Labels{Device: "br0", Stage: StageBridge, Priority: 1, Shard: "s0"}
 	if _, ok := p.M.hists[metricKey{"prism_stage_wait_ns", wait}]; ok {
 		t.Error("span without a previous event created a wait histogram")
 	}
-	eth.DMA(30, 10, 1)
-	br.Span(StageBridge, 10, 1, 40, 45)
+	skb := skbOf(10, 1, 30)
+	eth.DMA(30, skb)
+	br.Span(StageBridge, skb, 40, 45)
 	if h := p.M.hists[metricKey{"prism_stage_wait_ns", wait}]; h == nil || h.Hist().Count() != 1 {
 		t.Error("span after DMA did not record one wait sample")
 	}
@@ -339,7 +356,7 @@ func TestDevOutOfRangePriority(t *testing.T) {
 	p := NewPipeline("")
 	d := p.Dev("eth0")
 	for _, prio := range []int{-1, 0, maxCachedPrio, maxCachedPrio + 1, 1000, 1000} {
-		d.Drop(0, StageDMA, 1, prio)
+		d.Drop(0, StageDMA, skbOf(1, prio, 0))
 	}
 	for prio, want := range map[int]uint64{-1: 1, 0: 1, maxCachedPrio: 1, maxCachedPrio + 1: 1, 1000: 2} {
 		k := metricKey{"prism_dropped_total", Labels{Device: "eth0", Stage: StageDMA, Priority: prio}}
@@ -364,19 +381,24 @@ func TestDevZeroAllocAfterFirstUse(t *testing.T) {
 
 // lifecycleOn returns a function recording one packet's full receive
 // lifecycle (DMA, three stage spans, delivery) on p through pre-resolved
-// handles.
+// handles, on an SKB drawn from and returned to a pool as the NIC and the
+// socket do.
 func lifecycleOn(p *Pipeline) func() {
 	eth, br, veth, sock := p.Dev("eth0"), p.Dev("br0"), p.Dev("veth0"), p.Dev("c0")
-	var pkt uint64
+	var skbs pkt.SKBPool
+	var id uint64
 	var now sim.Time
 	return func() {
-		pkt++
+		id++
 		now += 1000
-		eth.DMA(now, pkt, 1)
-		eth.Span(StageNIC, pkt, 1, now+100, now+150)
-		br.Span(StageBridge, pkt, 1, now+200, now+220)
-		veth.Span(StageVeth, pkt, 1, now+300, now+340)
-		sock.Deliver(now+400, pkt, 1, now)
+		skb := skbs.Get()
+		skb.ID, skb.Priority, skb.Arrived = id, 1, now
+		eth.DMA(now, skb)
+		eth.Span(StageNIC, skb, now+100, now+150)
+		br.Span(StageBridge, skb, now+200, now+220)
+		veth.Span(StageVeth, skb, now+300, now+340)
+		sock.Deliver(now+400, skb)
+		skb.Free()
 	}
 }
 
@@ -386,14 +408,30 @@ func lifecycleOn(p *Pipeline) func() {
 // before timing, so it reports 0 allocs/op.
 func BenchmarkObsSpan(b *testing.B) {
 	p := NewPipeline("s0")
-	br := p.Dev("br0")
+	br, skb := p.Dev("br0"), skbOf(1, 1, 0)
 	for i := 0; i < DefaultTracerCap; i++ {
-		br.Span(StageBridge, 1, 1, sim.Time(i), sim.Time(i)+20)
+		br.Span(StageBridge, skb, sim.Time(i), sim.Time(i)+20)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		t := sim.Time(i) * 100
-		br.Span(StageBridge, 1, 1, t, t+20)
+		br.Span(StageBridge, skb, t, t+20)
+	}
+}
+
+// BenchmarkTracerAdd is the cost of one span event written into a full
+// (wrapping) ring: sampling check, slot write, head wrap. It reports 0
+// allocs/op.
+func BenchmarkTracerAdd(b *testing.B) {
+	tr := NewTracer(1024)
+	for i := 0; i < 2*1024; i++ {
+		tr.add(KindSpan, StageBridge, "br0", uint64(i), 1, sim.Time(i), sim.Time(i)+20)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := sim.Time(i)
+		tr.add(KindSpan, StageBridge, "br0", uint64(i), 1, t, t+20)
 	}
 }

@@ -146,7 +146,7 @@ func TestChromeTraceMergedShards(t *testing.T) {
 func TestEventsSinceCursor(t *testing.T) {
 	tr := NewTracer(4)
 	for i := 0; i < 3; i++ {
-		tr.add(span(0, "eth0", uint64(i), sim.Time(i), sim.Time(i)))
+		addEvent(tr, span(0, "eth0", uint64(i), sim.Time(i), sim.Time(i)))
 	}
 	first := tr.EventsSince(0)
 	if len(first) != 3 {
@@ -157,8 +157,8 @@ func TestEventsSinceCursor(t *testing.T) {
 		t.Errorf("drain at cursor = %d events, want 0", len(got))
 	}
 	// Two more events; only they appear.
-	tr.add(span(0, "eth0", 10, 10, 10))
-	tr.add(span(0, "eth0", 11, 11, 11))
+	addEvent(tr, span(0, "eth0", 10, 10, 10))
+	addEvent(tr, span(0, "eth0", 11, 11, 11))
 	delta := tr.EventsSince(cursor)
 	if len(delta) != 2 || delta[0].Pkt != 10 || delta[1].Pkt != 11 {
 		t.Fatalf("delta = %+v, want pkts 10,11", delta)
@@ -167,7 +167,7 @@ func TestEventsSinceCursor(t *testing.T) {
 	// skipped, the surviving ones drain in order.
 	cursor = tr.Total() // 5
 	for i := 0; i < 6; i++ {
-		tr.add(span(0, "eth0", uint64(100+i), sim.Time(100+i), sim.Time(100+i)))
+		addEvent(tr, span(0, "eth0", uint64(100+i), sim.Time(100+i), sim.Time(100+i)))
 	}
 	delta = tr.EventsSince(cursor)
 	if len(delta) != 4 { // ring only holds the last 4
@@ -199,11 +199,12 @@ func TestStreamerExactlyOnce(t *testing.T) {
 	sink := &recordingSink{}
 	st := NewStreamer(sink, p0, p1)
 
-	p0.Dev("eth0").DMA(10, 1, 1)
-	p1.Dev("eth1").DMA(10, 2, 0)
+	a := skbOf(1, 1, 10)
+	p0.Dev("eth0").DMA(10, a)
+	p1.Dev("eth1").DMA(10, skbOf(2, 0, 10))
 	st.Checkpoint(20)
 
-	p0.Dev("eth0").Span(StageNIC, 1, 1, 30, 40)
+	p0.Dev("eth0").Span(StageNIC, a, 30, 40)
 	st.Checkpoint(50)
 	st.Checkpoint(60) // no new events
 
@@ -279,9 +280,10 @@ func TestChromeStreamNDJSON(t *testing.T) {
 // pipeline order — and checks that nil pipelines are skipped.
 func TestDigests(t *testing.T) {
 	p0, p1 := NewPipeline("s0"), NewPipeline("s1")
-	p0.Dev("eth0").DMA(10, 1, 1)
-	p1.Dev("eth1").DMA(10, 2, 0)
-	p0.Dev("eth0").Span(StageNIC, 1, 1, 30, 40)
+	a := skbOf(1, 1, 10)
+	p0.Dev("eth0").DMA(10, a)
+	p1.Dev("eth1").DMA(10, skbOf(2, 0, 10))
+	p0.Dev("eth0").Span(StageNIC, a, 30, 40)
 
 	metrics, spans, err := Digests(p0, nil, p1)
 	if err != nil {

@@ -74,6 +74,31 @@ func TestSKBPoolRecyclesAndBumpsGen(t *testing.T) {
 	}
 }
 
+// The observation wait cursor opens, advances and closes, and a recycled
+// SKB starts with it closed even when it was freed open.
+func TestSKBWaitCursor(t *testing.T) {
+	var p SKBPool
+	s := p.Get()
+	if _, open := s.WaitCursor(); open {
+		t.Fatal("fresh SKB has an open wait cursor")
+	}
+	s.SetWaitCursor(10)
+	s.SetWaitCursor(25)
+	if at, open := s.WaitCursor(); !open || at != 25 {
+		t.Fatalf("cursor = %d open=%v, want 25 open", at, open)
+	}
+	if !s.CloseWaitCursor() || s.CloseWaitCursor() {
+		t.Fatal("CloseWaitCursor must report open exactly once")
+	}
+	s.SetWaitCursor(40)
+	p.Put(s)
+	if r := p.Get(); r != s {
+		t.Fatal("pool did not recycle the freed SKB")
+	} else if _, open := r.WaitCursor(); open {
+		t.Error("recycled SKB kept an open wait cursor")
+	}
+}
+
 func TestSKBDoublePutPanics(t *testing.T) {
 	var p SKBPool
 	s := p.Get()

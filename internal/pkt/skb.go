@@ -68,6 +68,29 @@ type SKB struct {
 	pooled bool
 	// parsed marks Flow, Encapsulated and Payload as filled from Data.
 	parsed bool
+	// waitOpen marks waitAt as live (see WaitCursor); it sits in the
+	// padding after parsed.
+	waitOpen bool
+	// waitAt is the observation wait cursor: when the packet's previous
+	// observed lifecycle event ended.
+	waitAt sim.Time
+}
+
+// WaitCursor returns the observation wait cursor — when the packet's
+// previous observed lifecycle event ended — and whether it is open. The
+// gap from the cursor to a stage's start is the packet's queue wait
+// before that stage. A fresh or recycled SKB starts closed.
+func (s *SKB) WaitCursor() (sim.Time, bool) { return s.waitAt, s.waitOpen }
+
+// SetWaitCursor opens the cursor, or advances it, to t.
+func (s *SKB) SetWaitCursor(t sim.Time) { s.waitAt, s.waitOpen = t, true }
+
+// CloseWaitCursor closes the cursor at the end of the packet's observed
+// lifecycle and reports whether it was open.
+func (s *SKB) CloseWaitCursor() bool {
+	open := s.waitOpen
+	s.waitOpen = false
+	return open
 }
 
 // ParseHeaders parses Data with Parse on the first call and caches the

@@ -154,6 +154,19 @@ func (o *obj) integer(key string, def int64) (int64, error) {
 	return n, nil
 }
 
+// count fetches an optional integer field that, when present, must be at
+// least 1; an absent field yields 0 (the caller's "use the default").
+func (o *obj) count(key string) (int, error) {
+	n, err := o.integer(key, 0)
+	if err != nil {
+		return 0, err
+	}
+	if _, set := o.m[key]; set && n < 1 {
+		return 0, fmt.Errorf("%s: must be >= 1", o.fieldPath(key))
+	}
+	return int(n), nil
+}
+
 func (o *obj) float(key string, def float64) (float64, error) {
 	s, ok, err := o.scalar(key)
 	if err != nil || !ok {

@@ -298,11 +298,9 @@ func decodeTraffic(root *obj, t *TrafficParams) error {
 	if t.LoadRate, err = o.float("load_rate", 0); err != nil {
 		return err
 	}
-	burst, err := o.integer("bg_burst", 0)
-	if err != nil {
+	if t.BGBurst, err = o.count("bg_burst"); err != nil {
 		return err
 	}
-	t.BGBurst = int(burst)
 	if t.EchoCost, err = o.duration("echo_cost", 0); err != nil {
 		return err
 	}
@@ -561,11 +559,9 @@ func decodeGroup(o *obj) (Group, error) {
 		return g, o.errf("count: must be >= 1")
 	}
 	g.Count = int(count)
-	burst, err := o.integer("burst", 0)
-	if err != nil {
+	if g.Burst, err = o.count("burst"); err != nil {
 		return g, err
 	}
-	g.Burst = int(burst)
 	if _, ok := o.m["poisson"]; ok {
 		g.poissonSet = true
 	}

@@ -119,6 +119,26 @@ func TestHostileInputs(t *testing.T) {
 			[]string{"scenario.warmup", "must not be negative"},
 		},
 		{
+			"zero bg_burst",
+			minimalExperiment + "traffic:\n  bg_burst: 0\n",
+			[]string{"scenario.traffic.bg_burst: must be >= 1"},
+		},
+		{
+			"negative bg_burst",
+			minimalExperiment + "traffic:\n  bg_burst: -3\n",
+			[]string{"scenario.traffic.bg_burst: must be >= 1"},
+		},
+		{
+			"zero flood burst",
+			"scenario: v1\ntopology:\n  split: monolithic\nworkload:\n  - name: bg\n    type: flood\n    rate: 10\n    burst: 0\n",
+			[]string{"scenario.workload[0].burst: must be >= 1"},
+		},
+		{
+			"negative flood burst",
+			"scenario: v1\ntopology:\n  split: monolithic\nworkload:\n  - name: bg\n    type: flood\n    rate: 10\n    burst: -3\n",
+			[]string{"scenario.workload[0].burst: must be >= 1"},
+		},
+		{
 			"bad integer",
 			"scenario: v1\nworkers: two\nexperiment:\n  kind: fig3\n",
 			[]string{"scenario.workers", "expected an integer"},

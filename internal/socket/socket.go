@@ -81,18 +81,15 @@ func (s *Socket) DeliverSKB(at sim.Time, skb *pkt.SKB) {
 		Delivered:    at,
 		HighPriority: skb.HighPriority,
 	}
-	id, prio := skb.ID, skb.Priority
-	f := skb.TakeFrame()
+	ok := s.push(at, m, skb.TakeFrame())
+	if s.tbl != nil && s.tbl.obs != nil {
+		if ok {
+			s.tbl.obs.Deliver(at, skb)
+		} else {
+			s.tbl.obs.Drop(at, obs.StageSocket, skb)
+		}
+	}
 	skb.Free()
-	ok := s.push(at, m, f)
-	if s.tbl == nil || s.tbl.obs == nil {
-		return
-	}
-	if ok {
-		s.tbl.obs.Deliver(at, id, prio, m.Arrived)
-	} else {
-		s.tbl.obs.Drop(at, obs.StageSocket, id, prio)
-	}
 }
 
 func (s *Socket) push(now sim.Time, m Message, f *pkt.Frame) bool {

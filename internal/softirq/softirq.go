@@ -340,7 +340,7 @@ func (e *Engine) pollDevice(dev *netdev.Device, start sim.Time) (int, sim.Time) 
 		e.stats.Packets++
 		dev.Processed++
 		if e.obs != nil {
-			e.devObs(dev).Span(dev.Kind.StageName(), skb.ID, skb.Priority, hStart, t)
+			e.devObs(dev).Span(dev.Kind.StageName(), skb, hStart, t)
 		}
 		t = e.applyTransition(dev, skb, res, t)
 	}
@@ -377,7 +377,7 @@ func (e *Engine) applyTransition(dev *netdev.Device, skb *pkt.SKB, res netdev.Re
 				e.stats.Packets++
 				next.Processed++
 				if e.obs != nil {
-					e.devObs(next).Span(next.Kind.StageName(), skb.ID, skb.Priority, hStart, t)
+					e.devObs(next).Span(next.Kind.StageName(), skb, hStart, t)
 				}
 				cur = next
 				continue
@@ -398,7 +398,7 @@ func (e *Engine) applyTransition(dev *netdev.Device, skb *pkt.SKB, res netdev.Re
 						e.stats.Dropped++
 						e.stats.Shed++
 						if e.obs != nil {
-							e.devObs(next).Drop(t, obs.StageShed, victim.ID, victim.Priority)
+							e.devObs(next).Drop(t, obs.StageShed, victim)
 						}
 						victim.Free()
 					}
@@ -408,7 +408,7 @@ func (e *Engine) applyTransition(dev *netdev.Device, skb *pkt.SKB, res netdev.Re
 			if !ok {
 				e.stats.Dropped++
 				if e.obs != nil {
-					e.devObs(next).Drop(t, next.Kind.StageName(), skb.ID, skb.Priority)
+					e.devObs(next).Drop(t, next.Kind.StageName(), skb)
 				}
 				skb.Free()
 				return t
@@ -438,14 +438,14 @@ func (e *Engine) applyTransition(dev *netdev.Device, skb *pkt.SKB, res netdev.Re
 		case netdev.VerdictDrop:
 			e.stats.Dropped++
 			if e.obs != nil {
-				e.devObs(cur).Drop(t, cur.Kind.StageName(), skb.ID, skb.Priority)
+				e.devObs(cur).Drop(t, cur.Kind.StageName(), skb)
 			}
 			skb.Free()
 			return t
 		case netdev.VerdictAbsorbed:
 			// GRO merged the frame into an earlier SKB; nothing to route.
 			if e.obs != nil {
-				e.devObs(cur).Absorbed(t, skb.ID, skb.Priority)
+				e.devObs(cur).Absorbed(t, skb)
 			}
 			skb.Free()
 			return t

@@ -108,9 +108,10 @@ func (f *UDPFlood) DeliveredCount() uint64 {
 	return n
 }
 
-// Start schedules the first burst at time at.
+// Start schedules the first burst at time at. A flood with no rate or
+// an empty burst sends nothing and schedules nothing.
 func (f *UDPFlood) Start(at sim.Time) {
-	if f.Rate <= 0 {
+	if f.Rate <= 0 || f.Burst < 1 {
 		return
 	}
 	f.emitFn = f.emitBurst

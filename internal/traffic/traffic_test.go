@@ -155,6 +155,26 @@ func TestUDPFloodRateAndDelivery(t *testing.T) {
 	}
 }
 
+// A flood whose burst is below one sends nothing and schedules nothing: it
+// must not re-arm an empty emission every nanosecond.
+func TestUDPFloodEmptyBurstSchedulesNothing(t *testing.T) {
+	for _, burst := range []int{0, -3} {
+		eng, h, _ := newRig(t, prio.ModeVanilla)
+		fl := NewUDPFlood(eng, h, h.AddContainer("bg"), overlay.ClientContainer(1, 41000), 5001, 300_000)
+		fl.Burst = burst
+		fl.Start(0)
+		if n := eng.Pending(); n != 0 {
+			t.Errorf("burst %d: %d events pending after Start, want 0", burst, n)
+		}
+		if err := eng.Run(sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if fl.Sent != 0 {
+			t.Errorf("burst %d: sent %d frames, want 0", burst, fl.Sent)
+		}
+	}
+}
+
 func TestUDPFloodConsumesProcessingCPU(t *testing.T) {
 	eng, h, _ := newRig(t, prio.ModeVanilla)
 	ctr := h.AddContainer("bg")
