@@ -354,11 +354,12 @@ func benchName(prefix string, v int) string {
 
 // ---------------------------------------------------------------------------
 // BenchmarkEventQueue measures the engine's event queue — the hierarchical
-// timing wheel — in isolation, one dispatched event per op. The three
+// timing wheel — in isolation, one dispatched event per op. The four
 // workloads bracket what the datapath generates: churn is the softirq
 // steady state (a few hundred outstanding events, microsecond-scale
 // delays), cancel-rearm is the kernel-timer pattern (most timers cancelled
-// and re-armed before firing), and cascade-far forces events through the
+// and re-armed before firing), many-engines is churn spread over a
+// cluster's worth of engines, and cascade-far forces events through the
 // coarse wheels and the overflow level. Gated by cmd/benchgate alongside
 // the datapath benchmarks; pkts_per_sec here means events per second.
 
@@ -411,6 +412,29 @@ func BenchmarkEventQueue(b *testing.B) {
 			if i&1 == 0 {
 				eng.Step()
 			}
+		}
+		b.StopTimer()
+		record(b, 1, nil)
+	})
+
+	// many-engines steps 19 engines round-robin, 64 pending events each —
+	// the cluster-spread shard count. Each dispatch touches a different
+	// engine's wheel, which is the footprint the single-engine cases hide.
+	b.Run("many-engines", func(b *testing.B) {
+		const engines, pending = 19, 64
+		engs := make([]*sim.Engine, engines)
+		for i := range engs {
+			eng := sim.NewEngine(uint64(7 + i))
+			c := &eqChurn{eng: eng, mean: sim.Microsecond}
+			for j := 0; j < pending; j++ {
+				eng.CallAt(eng.RNG().ExpDuration(c.mean), eqChurnFire, c, nil)
+			}
+			engs[i] = eng
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			engs[i%engines].Step()
 		}
 		b.StopTimer()
 		record(b, 1, nil)

@@ -53,6 +53,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"strings"
@@ -265,6 +266,22 @@ func main() {
 
 	if *burst < 1 {
 		reject(fmt.Errorf("-burst %d: must be >= 1", *burst))
+	}
+	// A ping-pong rate paces requests, so it has no interval at 0; a
+	// background rate may be 0 (off). None may be infinite.
+	for _, r := range []struct {
+		flag     string
+		v        float64
+		positive bool
+	}{{"high", *high, true}, {"load", *load, true}, {"bg", *bg, false}} {
+		switch {
+		case r.positive && !(r.v > 0):
+			reject(fmt.Errorf("-%s %v: must be > 0", r.flag, r.v))
+		case !(r.v >= 0):
+			reject(fmt.Errorf("-%s %v: must be >= 0", r.flag, r.v))
+		case math.IsInf(r.v, 1):
+			reject(fmt.Errorf("-%s %v: must be finite", r.flag, r.v))
+		}
 	}
 
 	p := experiments.Default()

@@ -120,3 +120,23 @@ func TestBadBurstExitsTwo(t *testing.T) {
 		}
 	}
 }
+
+// TestBadRatesExitTwo: a non-positive ping-pong rate has no request
+// interval and a negative background rate no meaning; each is rejected up
+// front with one line naming the flag instead of a scheduling panic or a
+// silently idle run.
+func TestBadRatesExitTwo(t *testing.T) {
+	for _, c := range []struct{ args, want string }{
+		{"-exp fig3 -high 0", "-high 0: must be > 0"},
+		{"-exp fig9 -high -1", "-high -1: must be > 0"},
+		{"-exp fig8 -load 0", "-load 0: must be > 0"},
+		{"-exp fig8 -load -1", "-load -1: must be > 0"},
+		{"-exp fig3 -bg -5", "-bg -5: must be >= 0"},
+		{"-exp fig3 -high Inf", "-high +Inf: must be finite"},
+	} {
+		msg := wantExitTwo(t, c.args+" -duration 20ms -warmup 2ms")
+		if !strings.Contains(msg, c.want) {
+			t.Errorf("%s: error does not name the flag: %s", c.args, msg)
+		}
+	}
+}

@@ -344,10 +344,10 @@ func New(cfg Config) (*Cluster, error) {
 		c.torUp = make([]*Port, fc.Racks)
 		for r, tor := range c.Tors {
 			r, tor := r, tor
-			upLink := c.connect(tor.Shard, c.Spine.Shard, fc.SpineLink, c.Spine.Receive)
+			upLink := c.connect(tor.Shard, c.Spine.Shard, fc.SpineLink, c.Spine.ReceiveCore)
 			torUp := tor.addPort(fmt.Sprintf("%s->spine", tor.Name), upLink, fc.SpineLink)
 			c.torUp[r] = torUp
-			downLink := c.connect(c.Spine.Shard, tor.Shard, fc.SpineLink, tor.Receive)
+			downLink := c.connect(c.Spine.Shard, tor.Shard, fc.SpineLink, tor.ReceiveCore)
 			spineDown[r] = c.Spine.addPort(fmt.Sprintf("spine->%s", tor.Name), downLink, fc.SpineLink)
 
 			down := torDown[r]
@@ -378,11 +378,11 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		in := c.Nodes[ingressOf(i)]
 		src := overlay.ClientContainer(i, CliPort(i))
-		inject := c.injectVia(in, sp.Hi)
+		fl := &Flow{Index: i, Spec: sp, HostID: assign[i], Ingress: in.ID}
+		inject := c.injectVia(in, fl)
 		// Desynchronized deterministic start phases keep the cluster's
 		// generators from emitting in lockstep.
 		startAt := sim.Time(i%97) * 53 * sim.Microsecond
-		fl := &Flow{Index: i, Spec: sp, HostID: assign[i], Ingress: in.ID}
 		if sp.Flood {
 			f := traffic.NewUDPFlood(in.Shard.Eng, dst.Host, ctr, src, SvcPort(i), sp.Rate)
 			f.Burst = 32
@@ -401,6 +401,7 @@ func New(cfg Config) (*Cluster, error) {
 				return nil, fmt.Errorf("cluster: %s: %w", sp.Name, err)
 			}
 			pp.Inject = inject
+			pp.Frames = &in.Host.Frames
 			pp.Start(in.Client, startAt)
 			fl.PP = pp
 		}
@@ -434,12 +435,12 @@ func (c *Cluster) connect(src, dst *par.Shard, lookahead sim.Time, deliver func(
 // rackOf maps a host ID to its rack (ID-block assignment).
 func (c *Cluster) rackOf(host int) int { return host / c.perRack }
 
-// injectVia builds the generator hook for a flow entering at node in: the
-// admission decision, then the uplink. Runs in event context on the
+// injectVia builds the generator hook for flow fl entering at node in:
+// the admission decision, then the uplink. Runs in event context on the
 // ingress shard.
-func (c *Cluster) injectVia(in *Node, hi bool) func(now, arrive sim.Time, frame []byte) {
+func (c *Cluster) injectVia(in *Node, fl *Flow) func(now, arrive sim.Time, frame []byte) {
 	return func(now, arrive sim.Time, frame []byte) {
-		c.inject(in, hi, now, arrive, frame, 0)
+		c.inject(in, fl, now, arrive, frame, 0)
 	}
 }
 
@@ -449,16 +450,21 @@ func (c *Cluster) injectVia(in *Node, hi bool) func(now, arrive sim.Time, frame 
 // backing off into the capacity-scaled bucket instead of silently losing
 // offered load during failover. The retry preserves the frame's
 // departure→arrival delta, so the re-sent frame still satisfies the
-// uplink's lookahead contract. Runs in event context on the ingress
-// shard.
-func (c *Cluster) inject(in *Node, hi bool, now, arrive sim.Time, frame []byte, attempt int) {
+// uplink's lookahead contract. A refused frame that is not retried ends
+// here and is recycled on the ingress shard. Runs in event context on the
+// ingress shard.
+func (c *Cluster) inject(in *Node, fl *Flow, now, arrive sim.Time, frame []byte, attempt int) {
 	if in.down {
 		in.CrashTx++
 		return
 	}
+	hi := fl.Spec.Hi
 	if !in.Bucket.Admit(now, hi) {
 		r := c.rec
 		if r == nil || r.cfg.RetryMax <= 0 || !r.degraded || attempt >= r.cfg.RetryMax {
+			if fl.Flood == nil {
+				in.Host.Frames.Put(frame)
+			}
 			return
 		}
 		wait := arrive - now
@@ -466,7 +472,7 @@ func (c *Cluster) inject(in *Node, hi bool, now, arrive sim.Time, frame []byte, 
 		in.Retries++
 		in.Shard.Eng.At(now+delay, func() {
 			nn := in.Shard.Eng.Now()
-			c.inject(in, hi, nn, nn+wait, frame, attempt+1)
+			c.inject(in, fl, nn, nn+wait, frame, attempt+1)
 		})
 		return
 	}
@@ -479,13 +485,20 @@ func (c *Cluster) inject(in *Node, hi bool, now, arrive sim.Time, frame []byte, 
 // shard. A down host absorbs the frame (CrashRx — the fail-stop wire). A
 // frame whose route no longer points here was in flight across a
 // snapshot swap: with recovery armed it is an epoch drop (counted, never
-// silent); otherwise the fabric genuinely misrouted it.
+// silent); otherwise the fabric genuinely misrouted it. The edge ToR
+// validated the frame, so its route key is read at its fixed offset.
+//
+// A delivered frame ends here — the NIC DMA copies a request, the client
+// demux consumes a reply synchronously — so it is recycled on this
+// node's shard, except a flood frame: floods send one shared, immutable
+// template.
 func (c *Cluster) deliverToNode(n *Node, at sim.Time, frame []byte) {
 	if n.down {
 		n.CrashRx++
 		return
 	}
-	rt, ok := classify(c.snap.Load(), frame)
+	port := pkt.ValidatedDstPort(frame)
+	rt, ok := c.snap.Load().Lookup(port)
 	if !ok || rt.Host != n.ID {
 		if ok && c.rec != nil {
 			n.EpochDrops++
@@ -497,10 +510,13 @@ func (c *Cluster) deliverToNode(n *Node, at sim.Time, frame []byte) {
 	if rt.ToClient {
 		n.ToClients++
 		n.Client.Deliver(at, frame)
-		return
+	} else {
+		n.FromFabric++
+		n.Host.InjectFromWire(at, frame)
 	}
-	n.FromFabric++
-	n.Host.InjectFromWire(at, frame)
+	if fl := c.flowOf(port); fl != nil && fl.Flood == nil {
+		n.Host.Frames.Put(frame)
+	}
 }
 
 // switches returns every switch in shard order.
@@ -580,6 +596,14 @@ func (c *Cluster) ClassifyFrame(frame []byte) (container string, hi bool, ok boo
 		return c.Flows[i].Spec.Name, c.Flows[i].Spec.Hi, true
 	}
 	return "", false, false
+}
+
+// flowOf returns the flow a service or client port belongs to, or nil.
+func (c *Cluster) flowOf(port uint16) *Flow {
+	if i, ok := c.flowIndexForPort(port); ok {
+		return c.Flows[i]
+	}
+	return nil
 }
 
 func (c *Cluster) flowIndexForPort(port uint16) (int, bool) {

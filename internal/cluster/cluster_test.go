@@ -292,6 +292,59 @@ func TestSnapshotLookup(t *testing.T) {
 	}
 }
 
+// checkDense requires a snapshot's Lookup to agree with its route map on
+// every port.
+func checkDense(t *testing.T, what string, s *Snapshot) {
+	t.Helper()
+	for p := 0; p <= 65535; p++ {
+		want, wantOK := s.routes[uint16(p)]
+		got, ok := s.Lookup(uint16(p))
+		if got != want || ok != wantOK {
+			t.Fatalf("%s: Lookup(%d) = %+v %v, route map has %+v %v", what, p, got, ok, want, wantOK)
+		}
+	}
+}
+
+// TestSnapshotDenseMatchesMap checks the dense per-hop tables against the
+// route map on every port: for random tables mixing flow ports with ports
+// outside both dense ranges, and for the snapshots a cluster publishes at
+// build time and after a recovery migration.
+func TestSnapshotDenseMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	checkDense(t, "empty", NewSnapshot(1, map[uint16]Route{}))
+	for trial := 0; trial < 10; trial++ {
+		routes := map[uint16]Route{}
+		for k := rng.Intn(300); k > 0; k-- {
+			var port uint16
+			switch rng.Intn(4) {
+			case 0:
+				port = SvcPort(rng.Intn(1000))
+			case 1:
+				port = CliPort(rng.Intn(1000))
+			case 2:
+				port = uint16(rng.Intn(SvcPortBase))
+			default:
+				port = uint16(rng.Intn(1 << 16))
+			}
+			routes[port] = Route{Host: rng.Intn(16), Hi: rng.Intn(2) == 0, ToClient: rng.Intn(2) == 0}
+		}
+		checkDense(t, fmt.Sprintf("random table %d", trial), NewSnapshot(1, routes))
+	}
+
+	c, err := New(recoverySmallConfig(21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDense(t, "initial", c.Snapshot())
+	if err := c.Run(30*sim.Millisecond, 1); err != nil {
+		t.Fatal(err)
+	}
+	if v := c.Snapshot().Version; v != 2 {
+		t.Fatalf("snapshot version after the scripted crash = %d, want 2", v)
+	}
+	checkDense(t, "after migration", c.Snapshot())
+}
+
 // --- full cluster ---
 
 func testHostSpec() testbed.Spec {

@@ -213,18 +213,59 @@ type Route struct {
 type Snapshot struct {
 	Version int
 	routes  map[uint16]Route
+	// svc and cli hold the routes of ports SvcPortBase+i and
+	// CliPortBase+i — every flow's ports — densely by i, so the per-hop
+	// lookup is an index; ports below SvcPortBase use the map.
+	svc, cli []denseRoute
+}
+
+// denseRoute is one slot of a snapshot's dense tables.
+type denseRoute struct {
+	Route
+	ok bool
 }
 
 // NewSnapshot builds a snapshot from a route table (the map is not
 // copied; callers must not retain it).
 func NewSnapshot(version int, routes map[uint16]Route) *Snapshot {
-	return &Snapshot{Version: version, routes: routes}
+	s := &Snapshot{Version: version, routes: routes}
+	for port, r := range routes {
+		switch p := int(port); {
+		case p >= CliPortBase:
+			s.cli = setDense(s.cli, p-CliPortBase, r)
+		case p >= SvcPortBase:
+			s.svc = setDense(s.svc, p-SvcPortBase, r)
+		}
+	}
+	return s
+}
+
+// setDense stores r at index i of t, growing t to cover it.
+func setDense(t []denseRoute, i int, r Route) []denseRoute {
+	if i >= len(t) {
+		t = append(t, make([]denseRoute, i+1-len(t))...)
+	}
+	t[i] = denseRoute{r, true}
+	return t
 }
 
 // Lookup resolves a destination port.
 func (s *Snapshot) Lookup(port uint16) (Route, bool) {
-	r, ok := s.routes[port]
-	return r, ok
+	var t []denseRoute
+	i := int(port)
+	switch {
+	case i >= CliPortBase:
+		t, i = s.cli, i-CliPortBase
+	case i >= SvcPortBase:
+		t, i = s.svc, i-SvcPortBase
+	default:
+		r, ok := s.routes[port]
+		return r, ok
+	}
+	if i >= len(t) {
+		return Route{}, false
+	}
+	return t[i].Route, t[i].ok
 }
 
 // Len reports the number of installed routes.

@@ -230,28 +230,44 @@ func (s *Switch) addPort(name string, link *par.Link, prop sim.Time) *Port {
 	return p
 }
 
-// classify resolves a wire frame to its snapshot route by the inner
-// destination port (the globally unique flow identity — container IPs
-// repeat across hosts, ports never do).
-func classify(snap *Snapshot, frame []byte) (Route, bool) {
+// Receive handles one frame arriving from a host uplink at time at (event
+// context on the switch's shard). This is the fabric edge: the full
+// pkt.Parse here decides the frame's validity for every later hop, since a
+// fabric frame is immutable from its encoding to its delivery (a fault
+// plane corrupts a copy, taps copy, the NIC DMA copies).
+func (s *Switch) Receive(at sim.Time, frame []byte) {
 	h, err := pkt.Parse(frame)
 	if err != nil {
-		return Route{}, false
+		s.RxFrames++
+		s.unroutable(at)
+		return
 	}
-	return snap.Lookup(h.Flow.DstPort)
+	s.route(at, frame, h.Flow.DstPort)
 }
 
-// Receive handles one frame arriving at the switch at time at (event
-// context on the switch's shard).
-func (s *Switch) Receive(at sim.Time, frame []byte) {
+// ReceiveCore handles one frame arriving from inside the fabric — at the
+// spine, or at a ToR from the spine. The edge ToR validated it, so the
+// route key is read at its fixed offset.
+func (s *Switch) ReceiveCore(at sim.Time, frame []byte) {
+	s.route(at, frame, pkt.ValidatedDstPort(frame))
+}
+
+// route classifies a frame against the live snapshot by its inner
+// destination port (the globally unique flow identity — container IPs
+// repeat across hosts, ports never do) and queues it at the egress port.
+func (s *Switch) route(at sim.Time, frame []byte, dstPort uint16) {
 	s.RxFrames++
-	rt, ok := classify(s.snap.Load(), frame)
+	rt, ok := s.snap.Load().Lookup(dstPort)
 	if !ok {
-		s.Unroutable++
-		s.obs.FabricDrop(at, "unroutable", 0)
+		s.unroutable(at)
 		return
 	}
 	s.enqueue(at, s.portFor(rt), queued{frame: frame, hi: rt.Hi, arrived: at})
+}
+
+func (s *Switch) unroutable(at sim.Time) {
+	s.Unroutable++
+	s.obs.FabricDrop(at, "unroutable", 0)
 }
 
 func (s *Switch) enqueue(now sim.Time, p *Port, q queued) {

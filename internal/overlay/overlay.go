@@ -111,6 +111,8 @@ type Container struct {
 	Core    *cpu.Core
 
 	host *Host
+	// tx holds SendUDP's encoded replies until their transmit.
+	tx txQueue
 }
 
 // Host is the simulated server machine.
@@ -170,6 +172,15 @@ type Host struct {
 	// RxWire counts frames that arrived from the wire (before any fault
 	// treatment); the invariant checker's conservation ledger starts here.
 	RxWire uint64
+
+	// Frames recycles spent wire frames on this host's shard: the
+	// containers' UDP replies and the requests of generators whose client
+	// machine sits behind this host are encoded into its buffers, and a
+	// cluster returns the frames this host consumes to it. Outside a
+	// cluster nothing returns frames, and every Get allocates.
+	Frames pkt.WireFrames
+	// inner is the scratch SendUDP encodes a reply's inner frame into.
+	inner []byte
 
 	// delayPool holds copies of jitter-delayed wire frames between their
 	// original arrival and their deferred DMA (the injector's buffer is
@@ -293,6 +304,7 @@ func (h *Host) AddContainer(name string) *Container {
 		IP:   pkt.Addr(serverCIDR[0], serverCIDR[1], serverCIDR[2], byte(idx)),
 		host: h,
 	}
+	c.tx.h = h
 	c.Sockets = socket.NewTable(name)
 	c.Sockets.SetObs(h.cfg.Obs)
 	c.Core = cpu.NewCore(h.allocCore(), h.cfg.AppCStates)
@@ -437,21 +449,72 @@ func ClientContainer(idx int, port uint16) RemoteEndpoint {
 // container over the overlay: the egress stack cost (veth→bridge→VXLAN
 // encap→NIC TX) is charged to the application thread, as sendto(2) work
 // happens in syscall context — the paper leaves the egress path unchanged.
+// The frame is encoded into one of the host's spent wire frames.
 func (c *Container) SendUDP(now sim.Time, dst RemoteEndpoint, srcPort uint16, payload []byte) {
 	h := c.host
 	// Encode at call time: payload is only guaranteed valid while the
 	// caller (usually an OnMessage callback) runs — it may alias a pooled
 	// frame that is recycled as soon as the callback returns.
-	inner := pkt.BuildUDPFrame(pkt.UDPFrameSpec{
-		SrcMAC: c.MAC, DstMAC: dst.MAC, SrcIP: c.IP, DstIP: dst.IP,
-		SrcPort: srcPort, DstPort: dst.Port, Payload: payload,
+	var frame []byte
+	frame, h.inner = c.encapReply(h.Frames.Get(UDPOverlayLen(len(payload))), h.inner, dst, srcPort, payload)
+	c.tx.push(frame)
+	c.Thread.SubmitTo(now, h.Costs.AppTx, &c.tx)
+}
+
+// UDPOverlayLen is the wire length of a VXLAN-wrapped UDP datagram with
+// a payload of the given size.
+func UDPOverlayLen(payload int) int {
+	return pkt.VXLANOverhead + pkt.EthHeaderLen + pkt.IPv4HeaderLen + pkt.UDPHeaderLen + payload
+}
+
+// encapReply encodes the container's server→client overlay UDP frame
+// — SendUDP's wire format — into caller-provided buffers: dst receives the
+// outer frame, scratch holds the inner frame while it is wrapped. Both are
+// reused when their capacity allows. It returns the encoded frame and the
+// (possibly grown) inner scratch.
+func (c *Container) encapReply(dst, scratch []byte, to RemoteEndpoint, srcPort uint16, payload []byte) (frame, inner []byte) {
+	inner = pkt.AppendUDPFrame(scratch, pkt.UDPFrameSpec{
+		SrcMAC: c.MAC, DstMAC: to.MAC, SrcIP: c.IP, DstIP: to.IP,
+		SrcPort: srcPort, DstPort: to.Port, Payload: payload,
 	})
-	frame := pkt.Encapsulate(pkt.VXLANSpec{
+	frame = pkt.EncapInto(dst, pkt.VXLANSpec{
 		OuterSrcMAC: ServerMAC, OuterDstMAC: ClientMAC,
 		OuterSrcIP: ServerIP, OuterDstIP: ClientIP,
-		SrcPort: entropyPort(c.IP, dst.IP, srcPort, dst.Port), VNI: VNI,
+		SrcPort: entropyPort(c.IP, to.IP, srcPort, to.Port), VNI: VNI,
 	}, inner)
-	c.Thread.Submit(now, h.Costs.AppTx, func(done sim.Time) { h.transmit(done, frame) })
+	return frame, inner
+}
+
+// txQueue carries a container's encoded UDP replies from SendUDP to their
+// transmit. The container's thread completes work serially, so completion
+// events fire in submission order and each pops its own frame; the queue
+// is the thread's Runner, so the handoff needs no per-send closure. It is
+// a power-of-two ring that reuses its backing array.
+type txQueue struct {
+	h       *Host
+	buf     [][]byte
+	head, n int
+}
+
+func (q *txQueue) push(f []byte) {
+	if q.n == len(q.buf) {
+		grown := make([][]byte, max(8, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = f
+	q.n++
+}
+
+// Run transmits the oldest queued reply at its completion time.
+func (q *txQueue) Run(done sim.Time) {
+	f := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	q.h.transmit(done, f)
 }
 
 // SendTCP transmits a TCP segment (reply data) from the container,
@@ -503,15 +566,26 @@ func entropyPort(a, b pkt.IPv4, p1, p2 uint16) uint16 {
 // client container to a server container, VXLAN-wrapped for the underlay.
 // Traffic generators use it.
 func EncapToServer(src RemoteEndpoint, dst *Container, dstPort uint16, payload []byte) []byte {
-	inner := pkt.BuildUDPFrame(pkt.UDPFrameSpec{
-		SrcMAC: src.MAC, DstMAC: dst.MAC, SrcIP: src.IP, DstIP: dst.IP,
+	frame, _ := EncapToServerInto(nil, nil, src, dst, dstPort, payload)
+	return frame
+}
+
+// EncapToServerInto is EncapToServer encoding into caller-provided
+// scratch: dst receives the outer frame, scratch holds the inner frame
+// while it is wrapped. Both are reused when their capacity allows. It
+// returns the encoded frame and the (possibly grown) inner scratch.
+func EncapToServerInto(dst, scratch []byte, src RemoteEndpoint, dstC *Container,
+	dstPort uint16, payload []byte) (frame, inner []byte) {
+	inner = pkt.AppendUDPFrame(scratch, pkt.UDPFrameSpec{
+		SrcMAC: src.MAC, DstMAC: dstC.MAC, SrcIP: src.IP, DstIP: dstC.IP,
 		SrcPort: src.Port, DstPort: dstPort, Payload: payload,
 	})
-	return pkt.Encapsulate(pkt.VXLANSpec{
+	frame = pkt.EncapInto(dst, pkt.VXLANSpec{
 		OuterSrcMAC: ClientMAC, OuterDstMAC: ServerMAC,
 		OuterSrcIP: ClientIP, OuterDstIP: ServerIP,
-		SrcPort: entropyPort(src.IP, dst.IP, src.Port, dstPort), VNI: VNI,
+		SrcPort: entropyPort(src.IP, dstC.IP, src.Port, dstPort), VNI: VNI,
 	}, inner)
+	return frame, inner
 }
 
 // EncapTCPToServer builds a client→server overlay TCP segment.

@@ -23,6 +23,9 @@ type recorder struct {
 
 func (r *recorder) ProcessingCost(socket.Message) sim.Time { return 1000 }
 func (r *recorder) OnMessage(done sim.Time, m socket.Message) {
+	// The payload aliases a pooled frame the socket recycles as soon as
+	// this returns; keep a copy.
+	m.Payload = append([]byte(nil), m.Payload...)
 	r.msgs = append(r.msgs, m)
 }
 
@@ -365,5 +368,92 @@ func TestMultiQueueScalesThroughput(t *testing.T) {
 	four := run(4)
 	if four < one*2 {
 		t.Errorf("4-queue rate %.0f pps not ≥ 2x single-queue %.0f pps", four, one)
+	}
+}
+
+// poisoned returns an n-byte-capacity buffer filled with 0xDB, the
+// pooldebug poison: a recycled wire frame as an encoder receives it.
+func poisoned(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = 0xDB
+	}
+	return b[:0]
+}
+
+// TestRecycledBufferEncodesIdentically checks that encoding a request or
+// an echo reply into a spent, poisoned buffer (and a poisoned inner
+// scratch) yields exactly the bytes a fresh allocation does: every byte of
+// the frame is written, none is inherited from the buffer's last use.
+func TestRecycledBufferEncodesIdentically(t *testing.T) {
+	_, h := newTestHost(t, prio.ModeVanilla)
+	ctr := h.AddContainer("srv")
+	for i, payload := range [][]byte{nil, []byte("x"), make([]byte, 64), []byte("a longer probe payload ...")} {
+		src := ClientContainer(i, uint16(40000+i))
+		want := EncapToServer(src, ctr, uint16(20000+i), payload)
+		got, _ := EncapToServerInto(poisoned(256), poisoned(256), src, ctr, uint16(20000+i), payload)
+		if string(got) != string(want) {
+			t.Errorf("request %d: recycled encoding differs\n got %x\nwant %x", i, got, want)
+		}
+
+		// The echo reply's wire format, encoded the allocating way.
+		wantReply := pkt.Encapsulate(pkt.VXLANSpec{
+			OuterSrcMAC: ServerMAC, OuterDstMAC: ClientMAC,
+			OuterSrcIP: ServerIP, OuterDstIP: ClientIP,
+			SrcPort: entropyPort(ctr.IP, src.IP, 11211, src.Port), VNI: VNI,
+		}, pkt.BuildUDPFrame(pkt.UDPFrameSpec{
+			SrcMAC: ctr.MAC, DstMAC: src.MAC, SrcIP: ctr.IP, DstIP: src.IP,
+			SrcPort: 11211, DstPort: src.Port, Payload: payload,
+		}))
+		var list pkt.WireFrames
+		list.Put(poisoned(256))
+		gotReply, _ := ctr.encapReply(list.Get(UDPOverlayLen(len(payload))), poisoned(256), src, 11211, payload)
+		if string(gotReply) != string(wantReply) {
+			t.Errorf("reply %d: recycled encoding differs\n got %x\nwant %x", i, gotReply, wantReply)
+		}
+		if len(gotReply) != UDPOverlayLen(len(payload)) {
+			t.Errorf("reply %d: %d bytes, UDPOverlayLen says %d", i, len(gotReply), UDPOverlayLen(len(payload)))
+		}
+	}
+}
+
+// TestSendUDPTransmitsInSubmissionOrder sends a run of replies from one
+// container, more than the transmit queue's initial ring holds, out of
+// recycled buffers: each must leave in order with its own payload.
+func TestSendUDPTransmitsInSubmissionOrder(t *testing.T) {
+	eng, h := newTestHost(t, prio.ModeVanilla)
+	ctr := h.AddContainer("srv")
+	client := ClientContainer(0, 40000)
+	for i := 0; i < 4; i++ {
+		h.Frames.Put(poisoned(256))
+	}
+	var got []string
+	h.AttachRemote(func(now sim.Time, frame []byte) {
+		hd, err := pkt.Parse(frame)
+		if err != nil {
+			t.Errorf("reply does not parse: %v", err)
+			return
+		}
+		got = append(got, string(hd.Payload(frame)))
+	})
+	const n = 20
+	eng.At(0, func() {
+		for i := 0; i < n; i++ {
+			ctr.SendUDP(0, client, 11211, []byte{byte('a' + i)})
+		}
+	})
+	if err := eng.Run(sim.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != n {
+		t.Fatalf("%d replies transmitted, want %d", len(got), n)
+	}
+	for i, p := range got {
+		if p != string(rune('a'+i)) {
+			t.Fatalf("reply %d carries %q, want %q", i, p, string(rune('a'+i)))
+		}
+	}
+	if h.Frames.Len() != 0 {
+		t.Errorf("%d recycled buffers left unused", h.Frames.Len())
 	}
 }

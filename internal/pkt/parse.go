@@ -113,3 +113,17 @@ func ipv4TotalLen(b []byte) (int, error) {
 	}
 	return 0, errParseIPv4
 }
+
+// ValidatedDstPort returns the inner transport destination port of a frame
+// Parse has already accepted, read at its fixed offset: Parse admits only
+// option-less IPv4 headers, so the port lies 36 bytes into the inner frame,
+// which starts VXLANOverhead bytes in when IsVXLAN matches. It checks
+// nothing — on a frame Parse would reject the result is meaningless — so it
+// suits frames that are immutable from a validating hop to this read.
+func ValidatedDstPort(frame []byte) uint16 {
+	off := EthHeaderLen + IPv4HeaderLen + 2
+	if IsVXLAN(frame) {
+		off += VXLANOverhead
+	}
+	return uint16(frame[off])<<8 | uint16(frame[off+1])
+}

@@ -3,6 +3,7 @@ package pkt
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 )
 
@@ -131,7 +132,47 @@ func FuzzParse(f *testing.F) {
 		if h.PayloadOff < h.InnerOff || h.PayloadEnd > h.InnerEnd {
 			t.Fatalf("payload [%d:%d] escapes the inner frame [%d:%d]", h.PayloadOff, h.PayloadEnd, h.InnerOff, h.InnerEnd)
 		}
+		// The fabric's trusted read agrees on every accepted frame.
+		if got := ValidatedDstPort(frame); got != h.Flow.DstPort {
+			t.Fatalf("ValidatedDstPort = %d, Parse says %d", got, h.Flow.DstPort)
+		}
 	})
+}
+
+// TestValidatedDstPortMatchesParse encodes randomized frames — plain and
+// VXLAN, UDP and TCP, with varied addresses, ports and payload sizes —
+// and checks the fixed-offset port read against Parse on each. FuzzParse
+// checks the same on its corpus.
+func TestValidatedDstPortMatchesParse(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	addr := func() IPv4 {
+		return IPv4{byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256))}
+	}
+	mac := func() MAC { return MAC{2, byte(rng.Intn(256)), 0, 0, byte(rng.Intn(256)), byte(rng.Intn(256))} }
+	for i := 0; i < 2000; i++ {
+		port := uint16(rng.Intn(1 << 16))
+		payload := make([]byte, rng.Intn(200))
+		rng.Read(payload)
+		var frame []byte
+		if rng.Intn(2) == 0 {
+			frame = BuildUDPFrame(UDPFrameSpec{SrcMAC: mac(), DstMAC: mac(), SrcIP: addr(), DstIP: addr(),
+				SrcPort: uint16(rng.Intn(1 << 16)), DstPort: port, ID: uint16(rng.Intn(1 << 16)), Payload: payload})
+		} else {
+			frame = BuildTCPFrame(TCPFrameSpec{SrcMAC: mac(), DstMAC: mac(), SrcIP: addr(), DstIP: addr(),
+				SrcPort: uint16(rng.Intn(1 << 16)), DstPort: port, Seq: rng.Uint32(), Flags: TCPAck, Payload: payload})
+		}
+		if rng.Intn(2) == 0 {
+			frame = Encapsulate(VXLANSpec{OuterSrcMAC: mac(), OuterDstMAC: mac(), OuterSrcIP: addr(), OuterDstIP: addr(),
+				SrcPort: uint16(49152 + rng.Intn(16384)), VNI: uint32(rng.Intn(1 << 24))}, frame)
+		}
+		h, err := Parse(frame)
+		if err != nil {
+			t.Fatalf("frame %d: encoder output rejected: %v", i, err)
+		}
+		if got := ValidatedDstPort(frame); got != h.Flow.DstPort || got != port {
+			t.Fatalf("frame %d: ValidatedDstPort = %d, Parse %d, encoded %d", i, got, h.Flow.DstPort, port)
+		}
+	}
 }
 
 func TestParseOverlayUDP(t *testing.T) {

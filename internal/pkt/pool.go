@@ -162,3 +162,43 @@ func (s *SKB) TakeFrame() *Frame {
 	s.frame = nil
 	return f
 }
+
+// WireFrames is a bounded LIFO of spent wire-frame buffers — the raw []byte
+// frames generators encode and cross-shard links carry. A frame sent on a
+// link passes to the receiver; its final consumer Puts it on the list of
+// its own shard, and that shard's next encoder Gets it back. Like the pools
+// above it is touched only in event context on its one shard, so there are
+// no locks. Under -tags=pooldebug a Put buffer is poisoned and a double
+// Put panics.
+type WireFrames struct {
+	bufs [][]byte
+}
+
+// wireFramesMax bounds how many spent buffers a list retains; Puts beyond
+// it are left to the GC.
+const wireFramesMax = 1024
+
+// Get returns a zero-length buffer with capacity for at least n bytes,
+// reusing a spent one when the list's newest fits.
+func (l *WireFrames) Get(n int) []byte {
+	if k := len(l.bufs); k > 0 && cap(l.bufs[k-1]) >= n {
+		b := l.bufs[k-1]
+		l.bufs[k-1] = nil
+		l.bufs = l.bufs[:k-1]
+		return b[:0]
+	}
+	return make([]byte, 0, n)
+}
+
+// Put hands a spent frame to the list. The caller must be the frame's last
+// holder: nothing may read or write it afterwards.
+func (l *WireFrames) Put(b []byte) {
+	if cap(b) == 0 || len(l.bufs) >= wireFramesMax {
+		return
+	}
+	poisonWire(l.bufs, b)
+	l.bufs = append(l.bufs, b)
+}
+
+// Len reports how many spent buffers the list holds.
+func (l *WireFrames) Len() int { return len(l.bufs) }

@@ -18,6 +18,21 @@ func poisonFrame(f *Frame) {
 	}
 }
 
+// poisonWire poisons a wire frame being Put on a WireFrames list and
+// panics if the list already holds its backing array: a double Put would
+// hand one buffer to two encoders.
+func poisonWire(held [][]byte, b []byte) {
+	b = b[:cap(b)]
+	for _, h := range held {
+		if &h[:cap(h)][0] == &b[0] {
+			panic("pkt: wire frame double-put")
+		}
+	}
+	for i := range b {
+		b[i] = poisonByte
+	}
+}
+
 // poisonedData is what a freed SKB's Data points at: any read returns
 // poison, and the headroom is far too short for a real frame, so parsers
 // reject it immediately.

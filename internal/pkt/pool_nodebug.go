@@ -8,3 +8,5 @@ const PoolDebug = false
 func poisonFrame(*Frame) {}
 
 func poisonSKB(*SKB) {}
+
+func poisonWire([][]byte, []byte) {}

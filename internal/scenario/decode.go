@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -173,6 +174,25 @@ func (o *obj) float(key string, def float64) (float64, error) {
 		return def, err
 	}
 	return parseFloatScalar(o.fieldPath(key), s)
+}
+
+// rate decodes an optional packets-per-second field. An explicitly set
+// value must be finite and non-negative, and positive when positive is
+// set: a rate that paces requests has no interval at 0.
+func (o *obj) rate(key string, positive bool) (float64, error) {
+	f, err := o.float(key, 0)
+	if _, set := o.m[key]; err != nil || !set {
+		return f, err
+	}
+	switch {
+	case positive && !(f > 0):
+		return 0, fmt.Errorf("%s: must be > 0", o.fieldPath(key))
+	case !(f >= 0):
+		return 0, fmt.Errorf("%s: must be >= 0", o.fieldPath(key))
+	case math.IsInf(f, 1):
+		return 0, fmt.Errorf("%s: must be finite", o.fieldPath(key))
+	}
+	return f, nil
 }
 
 func parseFloatScalar(path, s string) (float64, error) {

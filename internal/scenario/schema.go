@@ -289,13 +289,13 @@ func decodeTraffic(root *obj, t *TrafficParams) error {
 	if err != nil || o == nil {
 		return err
 	}
-	if t.HighRate, err = o.float("high_rate", 0); err != nil {
+	if t.HighRate, err = o.rate("high_rate", true); err != nil {
 		return err
 	}
-	if t.BGRate, err = o.float("bg_rate", 0); err != nil {
+	if t.BGRate, err = o.rate("bg_rate", false); err != nil {
 		return err
 	}
-	if t.LoadRate, err = o.float("load_rate", 0); err != nil {
+	if t.LoadRate, err = o.rate("load_rate", true); err != nil {
 		return err
 	}
 	if t.BGBurst, err = o.count("bg_burst"); err != nil {

@@ -129,6 +129,36 @@ func TestHostileInputs(t *testing.T) {
 			[]string{"scenario.traffic.bg_burst: must be >= 1"},
 		},
 		{
+			"negative high_rate",
+			minimalExperiment + "traffic:\n  high_rate: -3\n",
+			[]string{"scenario.traffic.high_rate: must be > 0"},
+		},
+		{
+			"zero high_rate",
+			minimalExperiment + "traffic:\n  high_rate: 0\n",
+			[]string{"scenario.traffic.high_rate: must be > 0"},
+		},
+		{
+			"zero load_rate",
+			minimalExperiment + "traffic:\n  load_rate: 0\n",
+			[]string{"scenario.traffic.load_rate: must be > 0"},
+		},
+		{
+			"negative load_rate",
+			minimalExperiment + "traffic:\n  load_rate: -1\n",
+			[]string{"scenario.traffic.load_rate: must be > 0"},
+		},
+		{
+			"negative bg_rate",
+			minimalExperiment + "traffic:\n  bg_rate: -5\n",
+			[]string{"scenario.traffic.bg_rate: must be >= 0"},
+		},
+		{
+			"infinite high_rate",
+			minimalExperiment + "traffic:\n  high_rate: Inf\n",
+			[]string{"scenario.traffic.high_rate: must be finite"},
+		},
+		{
 			"zero flood burst",
 			"scenario: v1\ntopology:\n  split: monolithic\nworkload:\n  - name: bg\n    type: flood\n    rate: 10\n    burst: 0\n",
 			[]string{"scenario.workload[0].burst: must be >= 1"},

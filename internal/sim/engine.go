@@ -10,14 +10,16 @@ import (
 // a *Event handle is only valid until the event fires or its cancellation is
 // collected — exactly the lifetime timer handles have in the kernel.
 type Event struct {
-	At   Time
+	At Time
+	// next sits beside At: filing into a sorted near slot compares a
+	// neighbour's At and follows its next, one cache line.
+	next *Event // intrusive link in a wheel slot or the overflow list
+	seq  uint64 // tie-break: FIFO among equal timestamps
 	Fn   func()
 	fn2  func(Time, any, any) // CallAt form: top-level fn + args, no closure
 	a1   any
 	a2   any
-	seq  uint64 // tie-break: FIFO among equal timestamps
-	next *Event // intrusive link in a wheel slot or the overflow list
-	dead bool   // cancelled
+	dead bool // cancelled
 }
 
 // Cancelled reports whether the event was cancelled before it fired.
@@ -174,9 +176,15 @@ func (e *Engine) Halt() { e.halted = true }
 // Step dispatches the single earliest event, advancing the clock to it.
 // It reports false when the queue is empty.
 func (e *Engine) Step() bool {
+	ev := e.nextEv
 	e.nextEv = nil
-	ev := e.takeNext()
-	if ev == nil {
+	if ev != nil && uint64(ev.At^e.cur) < nearSpan && e.near.tail[nearSlotOf(ev.At)].next == ev {
+		// peek already found the minimum and it heads its near slot:
+		// pop it without re-scanning. (A cached minimum that is not
+		// its slot's head sits behind cancelled records; takeNext
+		// collects them.)
+		e.popNear(nearSlotOf(ev.At))
+	} else if ev = e.takeNext(); ev == nil {
 		return false
 	}
 	e.now = ev.At

@@ -9,26 +9,33 @@ import (
 //
 // # Layout
 //
-// A wide near wheel plus five coarse wheels. An event at absolute time At
-// is filed by its XOR distance from the wheel reference `cur`: within
-// 8192 ns of the reference's block it lands on the near wheel — 8192
-// one-nanosecond slots indexed by At's low 13 bits — and beyond that on
-// coarse level l in {0..4}, 256 slots of width 2^(13+8l) ns indexed by
+// A near wheel plus five coarse wheels. An event at absolute time At is
+// filed by its XOR distance from the wheel reference `cur`: within the
+// reference's 8192 ns block it lands on the near wheel — 2048 slots of
+// 4 ns indexed by bits 2..12 of At — and beyond that on coarse level l in
+// {0..4}, 256 slots of width 2^(13+8l) ns indexed by
 // (At >> (13+8l)) & 255, where l is selected by the highest bit in which
 // At differs from the reference. Events differing above bit 52 — more
 // than ~104 virtual days out — go to an unsorted overflow FIFO. The near
-// wheel is sized so the datapath's common case (delays of a few hundred
+// span is sized so the datapath's common case (delays of a few hundred
 // nanoseconds to a few microseconds: stage service times, wire and IRQ
-// delays) schedules and dispatches without ever touching a coarse level.
+// delays) schedules and dispatches without ever touching a coarse level;
+// the 4 ns slot width keeps the near wheel at one pointer per slot, 16 KiB
+// per engine, so the par runtime's many engines stay cache-resident.
 //
 // # Ordering
 //
-// Each slot is an intrusive singly-linked FIFO of *Event reusing the
-// engine's free-list records. Every insertion appends, and seq increases
-// monotonically per schedule, so a slot list is always seq-ascending.
-// Near slots are one nanosecond wide: within cur's 8192 ns block a slot
-// holds exactly one timestamp, so its FIFO is exactly (At, seq) order and
-// the head of the lowest occupied near slot is the global minimum.
+// Each slot is an intrusive singly-linked list of *Event reusing the
+// engine's free-list records. Every insertion into a slot carries a larger
+// seq than every event already in it: a fresh schedule takes the next seq,
+// and a cascade re-files into finer levels that are empty, in list order.
+// Coarse slots and the overflow list simply append, so they stay
+// seq-ascending. A near slot spans four timestamps, so its list is kept
+// sorted by (At, seq): an insertion appends when At >= the tail's At (the
+// common case) and otherwise walks the short list to the first later
+// timestamp. Slots cover disjoint ascending ranges of the reference's
+// block, so the head of the lowest occupied near slot is the global
+// minimum and dispatch order is exactly (At, seq).
 //
 // # Cascade rule
 //
@@ -36,17 +43,17 @@ import (
 // occupied coarse level is removed whole, the reference advances to that
 // slot's start time, and the slot's list is re-filed in order. Every
 // event lands strictly finer (its time differs from the slot start only
-// below the slot's width), re-appending preserves the seq-ascending
-// property, and the reference move is safe: the slot start shares all
-// bits above the slot's level with the old reference, so no other pending
-// event changes level or slot. Repeating the rule funnels the earliest
-// slot down to the near wheel in at most coarseLevels steps. When all
-// wheels are empty the overflow list cascades the same way: the reference
-// jumps to the earliest overflow timestamp and every event within wheel
-// span is re-filed, in list order (seq-ascending, so FIFO survives).
+// below the slot's width), re-filing preserves the orders above, and the
+// reference move is safe: the slot start shares all bits above the slot's
+// level with the old reference, so no other pending event changes level
+// or slot. Repeating the rule funnels the earliest slot down to the near
+// wheel in at most coarseLevels steps. When all wheels are empty the
+// overflow list cascades the same way: the reference jumps to the
+// earliest overflow timestamp and every event within wheel span is
+// re-filed, in list order (seq-ascending, so FIFO survives).
 //
-// The reference only moves forward, inside takeNext, and only to the
-// start of a slot that precedes every pending event — never past the
+// The reference only moves forward, inside takeNext and Step, and only to
+// the start of a slot that precedes every pending event — never past the
 // clock's next dispatch. Scheduling requires At >= now >= cur, so a fresh
 // event can never land behind the reference; when the queue drains
 // completely, takeNext re-anchors the reference at the clock for the same
@@ -56,12 +63,13 @@ import (
 // is recycled when a scan or cascade next walks its slot.
 
 const (
-	// Near wheel: 8192 slots of 1 ns.
-	nearBits  = 13
-	nearSlots = 1 << nearBits
-	nearMask  = nearSlots - 1
-	nearWords = nearSlots / 64
-	nearSums  = nearWords / 64 // two summary words cover 128 bitmap words
+	// Near wheel: an 8192 ns span filed in 2048 slots of 4 ns.
+	nearBits      = 13 // span bits: events within cur's 2^13 ns block
+	nearSpan      = 1 << nearBits
+	nearSpanMask  = nearSpan - 1
+	nearSlotShift = 2 // slot width 2^2 ns
+	nearSlots     = nearSpan >> nearSlotShift
+	nearWords     = nearSlots / 64 // 32, one summary bit each
 
 	// Coarse wheels: 256 slots each, widths 2^13 … 2^45 ns.
 	coarseBits   = 8
@@ -75,26 +83,23 @@ const (
 	wheelSpan = nearBits + coarseBits*coarseLevels // 53
 )
 
-// nearWheel is the 1 ns-resolution wheel with a two-tier occupancy bitmap:
-// one bit per slot, one summary bit per 64-slot word, so the earliest
-// occupied slot is found with three TrailingZeros.
+// nearWheel is the 4 ns-slot wheel. Each slot is a circular list held by
+// its tail (tail.next is the head), so a slot costs one pointer; a
+// two-tier occupancy bitmap (one bit per slot, one summary bit per
+// 64-slot word) finds the earliest occupied slot with two TrailingZeros.
 type nearWheel struct {
-	head   [nearSlots]*Event
 	tail   [nearSlots]*Event
 	occ    [nearWords]uint64
-	occSum [nearSums]uint64
+	occSum uint32
 }
 
+// nearSlotOf returns the near slot an event at t files into.
+func nearSlotOf(t Time) int { return int(uint64(t)&nearSpanMask) >> nearSlotShift }
+
 // firstSlot returns the lowest occupied slot index. The caller guarantees
-// the wheel is nonempty (levelMask bit 0 set). No wrap handling is
-// needed: every occupied slot is at or past the reference's index (see
-// the cascade rule above).
+// the wheel is nonempty (levelMask bit 0 set).
 func (lv *nearWheel) firstSlot() int {
-	s := 0
-	if lv.occSum[0] == 0 {
-		s = 1
-	}
-	w := s<<6 | bits.TrailingZeros64(lv.occSum[s])
+	w := bits.TrailingZeros32(lv.occSum)
 	return w<<6 | bits.TrailingZeros64(lv.occ[w])
 }
 
@@ -114,19 +119,69 @@ func (lv *coarseWheel) firstSlot() int {
 	return w<<6 | bits.TrailingZeros64(lv.occ[w])
 }
 
-// pushNear appends ev to near slot i.
+// pushNear files ev into near slot i, keeping the slot sorted by
+// (At, seq): ev carries the largest seq in the slot, so it goes after
+// every event with At <= ev.At. Appending is the common case; an earlier
+// timestamp than the tail's walks the slot in insertBefore.
 func (e *Engine) pushNear(i int, ev *Event) {
 	lv := &e.near
-	ev.next = nil
-	if lv.tail[i] == nil {
-		lv.head[i] = ev
+	t := lv.tail[i]
+	if t == nil {
+		ev.next = ev
+		lv.tail[i] = ev
 		lv.occ[i>>6] |= 1 << (uint(i) & 63)
-		lv.occSum[i>>12] |= 1 << (uint(i>>6) & 63)
+		lv.occSum |= 1 << uint(i>>6)
 		e.levelMask |= 1
-	} else {
-		lv.tail[i].next = ev
+		return
 	}
+	if ev.At < t.At {
+		insertBefore(t, ev)
+		return
+	}
+	ev.next = t.next
+	t.next = ev
 	lv.tail[i] = ev
+}
+
+// insertBefore links ev into the circular slot list whose tail t is later
+// than ev, after every event with At <= ev.At; the walk stops before t.
+func insertBefore(t, ev *Event) {
+	p := t
+	for p.next.At <= ev.At {
+		p = p.next
+	}
+	ev.next = p.next
+	p.next = ev
+}
+
+// insertNearAfter files ev, which shares p's timestamp and carries a larger
+// seq, into p's near slot: after p and after any later-filed events at the
+// same timestamp.
+func (e *Engine) insertNearAfter(p, ev *Event) {
+	i := nearSlotOf(ev.At)
+	t := e.near.tail[i]
+	for p != t && p.next.At <= ev.At {
+		p = p.next
+	}
+	ev.next = p.next
+	p.next = ev
+	if p == t {
+		e.near.tail[i] = ev
+	}
+}
+
+// popNear unlinks and returns the head of the nonempty near slot i.
+func (e *Engine) popNear(i int) *Event {
+	t := e.near.tail[i]
+	ev := t.next
+	if ev == t {
+		e.near.tail[i] = nil
+		e.clearNear(i)
+	} else {
+		t.next = ev.next
+	}
+	ev.next = nil
+	return ev
 }
 
 // clearNear marks near slot i empty, dropping the levelMask bit when the
@@ -136,8 +191,8 @@ func (e *Engine) clearNear(i int) {
 	w := i >> 6
 	lv.occ[w] &^= 1 << (uint(i) & 63)
 	if lv.occ[w] == 0 {
-		lv.occSum[w>>6] &^= 1 << (uint(w) & 63)
-		if lv.occSum[0]|lv.occSum[1] == 0 {
+		lv.occSum &^= 1 << uint(w)
+		if lv.occSum == 0 {
 			e.levelMask &^= 1
 		}
 	}
@@ -182,8 +237,8 @@ func coarseLevelOf(d uint64) int {
 // keeps slot lists seq-ascending.
 func (e *Engine) push(ev *Event) {
 	d := uint64(ev.At ^ e.cur)
-	if d < nearSlots {
-		e.pushNear(int(uint64(ev.At)&nearMask), ev)
+	if d < nearSpan {
+		e.pushNear(nearSlotOf(ev.At), ev)
 		return
 	}
 	if d>>wheelSpan != 0 {
@@ -212,15 +267,7 @@ func (e *Engine) pushOverflow(ev *Event) {
 func (e *Engine) takeNext() *Event {
 	for {
 		if e.levelMask&1 != 0 {
-			lv := &e.near
-			i := lv.firstSlot()
-			ev := lv.head[i]
-			lv.head[i] = ev.next
-			if ev.next == nil {
-				lv.tail[i] = nil
-				e.clearNear(i)
-			}
-			ev.next = nil
+			ev := e.popNear(e.near.firstSlot())
 			if ev.dead {
 				e.release(ev)
 				continue
@@ -316,21 +363,15 @@ func (e *Engine) cascadeOverflow() bool {
 // and recycled.
 func (e *Engine) scanMin() *Event {
 	for {
-		// Near wheel: the first occupied slot holds a single timestamp
-		// in FIFO order, so the first live head is the global minimum.
+		// Near wheel: the first occupied slot is sorted by (At, seq),
+		// so its first live head is the global minimum.
 		if e.levelMask&1 != 0 {
-			lv := &e.near
-			i := lv.firstSlot()
-			ev := lv.head[i]
+			i := e.near.firstSlot()
+			ev := e.near.tail[i].next
 			if !ev.dead {
 				return ev
 			}
-			lv.head[i] = ev.next
-			if ev.next == nil {
-				lv.tail[i] = nil
-				e.clearNear(i)
-			}
-			ev.next = nil
+			e.popNear(i)
 			e.release(ev)
 			continue
 		}
@@ -412,20 +453,19 @@ func (e *Engine) overflowMin() *Event {
 }
 
 // Batch is an insertion cursor for scheduling a run of CallAt events at
-// nondecreasing timestamps with one wheel insert run: consecutive events
-// sharing a timestamp append straight to the cached slot tail instead of
-// re-deriving wheel and index. This is how the parallel runtime injects a
-// barrier window's cross-shard messages — one cursor pass instead of N
-// independent queue pushes.
+// nondecreasing timestamps: an event sharing the previous event's
+// timestamp is linked in right after it instead of being filed from the
+// slot head. This is how the parallel runtime injects a barrier window's
+// cross-shard messages — one cursor pass instead of N independent queue
+// pushes.
 //
 // A cursor is only valid while the engine is between dispatches: any
-// Step/Run in between may move the wheel reference and invalidate the
-// cached slot. Obtaining a cursor is free; take a fresh one per run.
+// Step/Run in between may move the wheel reference. Obtaining a cursor is
+// free; take a fresh one per run.
 type Batch struct {
-	e     *Engine
-	tailp **Event
-	last  Time
-	ok    bool
+	e    *Engine
+	prev *Event // the cursor's previous event; nil before the first
+	last Time   // prev's timestamp
 }
 
 // BeginBatch returns an insertion cursor for a nondecreasing run of
@@ -441,7 +481,8 @@ func (b *Batch) CallAt(t Time, fn func(Time, any, any), a1, a2 any) *Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, e.now))
 	}
-	if b.ok && t < b.last {
+	p := b.prev
+	if p != nil && t < b.last {
 		panic(fmt.Sprintf("sim: batch times must be nondecreasing (%v after %v)", t, b.last))
 	}
 	ev := e.alloc()
@@ -451,28 +492,13 @@ func (b *Batch) CallAt(t Time, fn func(Time, any, any), a1, a2 any) *Event {
 	if e.nextEv != nil && t < e.nextEv.At {
 		e.nextEv = ev
 	}
-	if b.ok && t == b.last {
-		// Same timestamp, same slot: the cached tail is still the slot
-		// tail because nothing dispatched since the last append.
-		ev.next = nil
-		(*b.tailp).next = ev
-		*b.tailp = ev
-		return ev
+	if p != nil && t == b.last && t == p.At && !p.dead && uint64(t^e.cur) < nearSpan {
+		// Same timestamp, same near slot, and p is still linked in it:
+		// nothing dispatched since, and a live record is never recycled.
+		e.insertNearAfter(p, ev)
+	} else {
+		e.push(ev)
 	}
-	d := uint64(t ^ e.cur)
-	switch {
-	case d < nearSlots:
-		i := int(uint64(t) & nearMask)
-		e.pushNear(i, ev)
-		b.tailp, b.last, b.ok = &e.near.tail[i], t, true
-	case d>>wheelSpan != 0:
-		e.pushOverflow(ev)
-		b.ok = false
-	default:
-		l := coarseLevelOf(d)
-		i := int((uint64(t) >> uint(nearBits+l*coarseBits)) & coarseMask)
-		e.pushCoarseAt(l, i, ev)
-		b.tailp, b.last, b.ok = &e.coarse[l].tail[i], t, true
-	}
+	b.prev, b.last = ev, t
 	return ev
 }

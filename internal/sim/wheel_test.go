@@ -606,3 +606,111 @@ func TestPendingCounterLive(t *testing.T) {
 		t.Fatalf("Pending = %d after drain, want 0", e.Pending())
 	}
 }
+
+// TestNearSlotSortedInsert files events into one 4 ns near slot out of
+// time order and checks they dispatch in (At, seq) order: a later
+// timestamp appends, an earlier one walks the slot list.
+func TestNearSlotSortedInsert(t *testing.T) {
+	e := NewEngine(1)
+	var got []int
+	rec := func(_ Time, a1, _ any) { got = append(got, a1.(int)) }
+	e.CallAt(103, rec, 6, nil)
+	e.CallAt(101, rec, 2, nil) // before the tail
+	e.CallAt(100, rec, 0, nil) // new head
+	e.CallAt(101, rec, 3, nil) // after its equal timestamp
+	e.CallAt(102, rec, 5, nil)
+	e.CallAt(100, rec, 1, nil)
+	e.CallAt(101, rec, 4, nil)
+	e.CallAt(103, rec, 7, nil) // append
+	if err := e.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != "[0 1 2 3 4 5 6 7]" {
+		t.Fatalf("dispatch order = %v, want [0 1 2 3 4 5 6 7]", got)
+	}
+}
+
+// TestBatchSameTimestampInterleaved checks the cursor's same-timestamp
+// path against regular schedules that land between its calls: at the
+// same timestamp (the cursor must link after them) and later in the same
+// near slot (the cursor must link before them).
+func TestBatchSameTimestampInterleaved(t *testing.T) {
+	e := NewEngine(1)
+	var got []int
+	rec := func(_ Time, a1, _ any) { got = append(got, a1.(int)) }
+	e.CallAt(203, rec, 5, nil) // same 4 ns slot, later timestamp
+	b := e.BeginBatch()
+	b.CallAt(201, rec, 0, nil)
+	e.CallAt(201, rec, 1, nil) // regular schedule between batch calls
+	b.CallAt(201, rec, 2, nil)
+	b.CallAt(201, rec, 3, nil)
+	c := b.CallAt(202, rec, -1, nil)
+	e.Cancel(c)
+	b.CallAt(202, rec, 4, nil) // previous cursor event cancelled
+	if err := e.RunUntilIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != "[0 1 2 3 4 5]" {
+		t.Fatalf("dispatch order = %v, want [0 1 2 3 4 5]", got)
+	}
+}
+
+// TestNearWheelRandomizedOrder drives dense schedules into a few near
+// slots — regular and batched, with cancellations and peeks between
+// steps — and checks the dispatch order is exactly (At, seq).
+func TestNearWheelRandomizedOrder(t *testing.T) {
+	type stamp struct {
+		at  Time
+		seq int
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine(uint64(seed))
+		var got []stamp
+		rec := func(at Time, a1, _ any) { got = append(got, stamp{at, a1.(int)}) }
+		seq := 0
+		var live []*Event
+		for op := 0; op < 600; op++ {
+			now := e.Now()
+			switch r := rng.Intn(10); {
+			case r < 4:
+				live = append(live, e.CallAt(now+Time(rng.Intn(24)), rec, seq, nil))
+				seq++
+			case r < 6:
+				b := e.BeginBatch()
+				at := now + Time(rng.Intn(12))
+				for k := rng.Intn(5); k >= 0; k-- {
+					live = append(live, b.CallAt(at, rec, seq, nil))
+					seq++
+					if rng.Intn(3) == 0 {
+						e.CallAt(at+Time(rng.Intn(3)), rec, seq, nil)
+						seq++
+					}
+					at += Time(rng.Intn(2))
+				}
+			case r < 7:
+				if len(live) > 0 {
+					j := rng.Intn(len(live))
+					if !live[j].Cancelled() {
+						e.Cancel(live[j])
+					}
+					live = append(live[:j], live[j+1:]...)
+				}
+			case r < 8:
+				e.NextAt()
+			default:
+				if e.Step() {
+					live = live[:0] // fired handles are recycled; drop them all
+				}
+			}
+		}
+		for e.Step() {
+		}
+		for i := 1; i < len(got); i++ {
+			a, b := got[i-1], got[i]
+			if b.at < a.at || b.at == a.at && b.seq < a.seq {
+				t.Fatalf("seed %d: dispatch %d (%v) after %d (%v)", seed, b.seq, b.at, a.seq, a.at)
+			}
+		}
+	}
+}

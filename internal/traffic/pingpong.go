@@ -40,6 +40,11 @@ type PingPong struct {
 	// generator can run on a client shard while the host runs elsewhere.
 	Inject func(now, arrive sim.Time, frame []byte)
 
+	// Frames, when set, supplies the request frames' buffers: the spent
+	// frames of the shard the generator runs on, which a cluster refills
+	// with the frames that shard consumes. Nil allocates every frame.
+	Frames *pkt.WireFrames
+
 	// OnSample, when set, observes every post-warmup latency sample in
 	// delivery order, keyed by the probe sequence number — the per-flow
 	// delivered sequence the determinism tests compare.
@@ -61,6 +66,11 @@ type PingPong struct {
 	// possibly concurrently on different shards — so each home owns its
 	// counters and readers sum them at quiescent points.
 	homes []*echoHome
+
+	// sendFn is the cached sendNext method value; payload and inner are
+	// the scratch each request's probe and inner frame are encoded into.
+	sendFn         func()
+	payload, inner []byte
 
 	stopped bool
 }
@@ -150,10 +160,15 @@ func (p *PingPong) recordKernel(home *echoHome, m socket.Message) {
 }
 
 // Start registers the reply handler and schedules the first request at
-// time at. The flow runs until Stop or the simulation horizon.
+// time at. The flow runs until Stop or the simulation horizon; a flow
+// without a positive Rate sends nothing.
 func (p *PingPong) Start(client *Client, at sim.Time) {
 	client.Register(p.Src.Port, p.onReply)
-	p.Eng.At(at, p.sendNext)
+	if !(p.Rate > 0) { // also false for NaN
+		return
+	}
+	p.sendFn = p.sendNext
+	p.Eng.At(at, p.sendFn)
 }
 
 // Stop ceases sending after the current request.
@@ -172,15 +187,21 @@ func (p *PingPong) sendNext() {
 		return
 	}
 	now := p.Eng.Now()
-	payload := make([]byte, p.PayloadLen)
-	pkt.PutProbe(payload, p.Sent, now)
+	if len(p.payload) != p.PayloadLen {
+		p.payload = make([]byte, p.PayloadLen)
+	}
+	pkt.PutProbe(p.payload, p.Sent, now)
 	p.Sent++
 
 	var frame []byte
-	if p.Target != nil {
-		frame = overlay.EncapToServer(p.Src, p.Target, p.DstPort, payload)
-	} else {
-		frame = overlay.HostUDPToServer(p.Src.Port, p.DstPort, payload)
+	switch {
+	case p.Target == nil:
+		frame = overlay.HostUDPToServer(p.Src.Port, p.DstPort, p.payload)
+	case p.Frames != nil:
+		frame, p.inner = overlay.EncapToServerInto(p.Frames.Get(overlay.UDPOverlayLen(p.PayloadLen)),
+			p.inner, p.Src, p.Target, p.DstPort, p.payload)
+	default:
+		frame, p.inner = overlay.EncapToServerInto(nil, p.inner, p.Src, p.Target, p.DstPort, p.payload)
 	}
 	arrive := now + p.ClientTx + p.Host.Costs.WireLatency + p.Host.Costs.Serialization(len(frame))
 	if p.Inject != nil {
@@ -189,7 +210,7 @@ func (p *PingPong) sendNext() {
 		f := frame
 		p.Eng.At(arrive, func() { p.Host.InjectFromWire(p.Eng.Now(), f) })
 	}
-	p.Eng.At(now+p.interval(), p.sendNext)
+	p.Eng.At(now+p.interval(), p.sendFn)
 }
 
 func (p *PingPong) onReply(now sim.Time, payload []byte, _ pkt.FlowKey) {

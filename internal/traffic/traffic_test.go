@@ -6,6 +6,7 @@ import (
 
 	"prism/internal/cpu"
 	"prism/internal/overlay"
+	"prism/internal/pkt"
 	"prism/internal/prio"
 	"prism/internal/sim"
 )
@@ -255,5 +256,68 @@ func TestClientUnroutedCounting(t *testing.T) {
 	}
 	if client.Unrouted != 1 {
 		t.Errorf("Unrouted = %d, want 1", client.Unrouted)
+	}
+}
+
+// TestPingPongNonPositiveRateSendsNothing: a flow without a positive rate
+// has no request interval; Start registers it but schedules nothing,
+// instead of converting an infinite interval into a past timestamp.
+func TestPingPongNonPositiveRateSendsNothing(t *testing.T) {
+	for _, rate := range []float64{0, -1, math.NaN()} {
+		eng, h, client := newRig(t, prio.ModeVanilla)
+		ctr := h.AddContainer("srv")
+		pp := NewPingPong(eng, h, ctr, overlay.ClientContainer(0, 40001), 11111, rate)
+		if err := pp.InstallEcho(sim.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+		pp.Start(client, 0)
+		if eng.Pending() != 0 {
+			t.Errorf("rate %v: %d events scheduled, want none", rate, eng.Pending())
+		}
+		if err := eng.Run(10 * sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if pp.Sent != 0 {
+			t.Errorf("rate %v: sent %d requests", rate, pp.Sent)
+		}
+	}
+}
+
+// TestPingPongRecycledFramesMatchFresh runs two identical generators, one
+// encoding into recycled, poisoned buffers that its injector hands back
+// after copying each frame, and requires byte-identical request streams.
+func TestPingPongRecycledFramesMatchFresh(t *testing.T) {
+	stream := func(recycle bool) [][]byte {
+		eng, h, client := newRig(t, prio.ModeVanilla)
+		ctr := h.AddContainer("srv")
+		pp := NewPingPong(eng, h, ctr, overlay.ClientContainer(3, 40003), 11111, 100_000)
+		var frames pkt.WireFrames
+		if recycle {
+			pp.Frames = &frames
+		}
+		var out [][]byte
+		pp.Inject = func(_, _ sim.Time, frame []byte) {
+			out = append(out, append([]byte(nil), frame...))
+			if recycle {
+				for i := range frame {
+					frame[i] = 0xDB
+				}
+				frames.Put(frame)
+			}
+		}
+		pp.Start(client, 0)
+		if err := eng.Run(sim.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	fresh, recycled := stream(false), stream(true)
+	if len(fresh) == 0 || len(fresh) != len(recycled) {
+		t.Fatalf("streams of %d and %d frames", len(fresh), len(recycled))
+	}
+	for i := range fresh {
+		if string(fresh[i]) != string(recycled[i]) {
+			t.Fatalf("frame %d differs\n fresh    %x\n recycled %x", i, fresh[i], recycled[i])
+		}
 	}
 }
